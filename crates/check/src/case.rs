@@ -14,8 +14,8 @@ use ripple_program::{
     rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig, LineAddr, Program,
 };
 use ripple_sim::{
-    CacheGeometry, EvictionMechanism, LinePath, PolicyKind, PolicyRegistry, PrefetcherKind,
-    SimConfig, SimSession, Temperature, TemperatureMap, VecSink,
+    CacheGeometry, EvictionMechanism, PolicyKind, PolicyRegistry, PrefetcherKind, SimConfig,
+    SimSession, Temperature, TemperatureMap, VecSink,
 };
 use ripple_trace::BbTrace;
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
@@ -230,32 +230,63 @@ pub fn gen_full_case(seed: u64) -> FullCase {
     }
 }
 
-/// Runs `case` on the given frontend path and returns its stats and full
-/// eviction stream.
+/// Runs `case` through the production simulator and returns its stats
+/// and full eviction stream. With `captured`, the session captures the
+/// request stream first, so set-local policies take the set-batched
+/// replay path instead of the streaming pass.
 pub fn run_path(
     case: &FullCase,
     policy: PolicyKind,
-    path: LinePath,
+    captured: bool,
 ) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
-    let config = case.config.clone().with_line_path(path);
-    let session = SimSession::new(&case.program, &case.layout, &case.trace, config);
+    let session = SimSession::new(
+        &case.program,
+        &case.layout,
+        &case.trace,
+        case.config.clone(),
+    );
+    if captured {
+        session.ensure_recorded();
+    }
     let mut sink = VecSink::new();
     let stats = session.run_with_sink(policy, &mut sink);
     (stats, sink.into_events())
 }
 
-/// [`run_path`] with an observability recorder attached to the session.
-/// Recorders observe, never feed back: results must be identical to the
-/// unrecorded run, which is exactly what the recorded dimensions check.
+/// Runs `case` through the checker-owned [`reference`](crate::reference)
+/// frontend and returns its stats and full eviction stream.
+pub fn run_reference(
+    case: &FullCase,
+    policy: PolicyKind,
+) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
+    let mut sink = VecSink::new();
+    let stats = crate::reference::run(
+        &case.program,
+        &case.layout,
+        &case.trace,
+        &case.config,
+        policy,
+        &mut sink,
+    );
+    (stats, sink.into_events())
+}
+
+/// The streaming [`run_path`] with an observability recorder attached to
+/// the session. Recorders observe, never feed back: results must be
+/// identical to the unrecorded run, which is exactly what the recorded
+/// dimensions check.
 pub fn run_path_recorded(
     case: &FullCase,
     policy: PolicyKind,
-    path: LinePath,
     recorder: Arc<dyn ripple_obs::Recorder>,
 ) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
-    let config = case.config.clone().with_line_path(path);
-    let session =
-        SimSession::new(&case.program, &case.layout, &case.trace, config).with_recorder(recorder);
+    let session = SimSession::new(
+        &case.program,
+        &case.layout,
+        &case.trace,
+        case.config.clone(),
+    )
+    .with_recorder(recorder);
     let mut sink = VecSink::new();
     let stats = session.run_with_sink(policy, &mut sink);
     (stats, sink.into_events())

@@ -1,24 +1,29 @@
-//! Dimension 3: frontend path equivalence and warmup accounting.
+//! Dimension 3: production vs reference frontend equivalence and warmup
+//! accounting.
 //!
-//! The simulator has two frontends — the dense interned fast path and the
-//! hash-keyed reference path — selected by [`LinePath`]. They must be
-//! observationally identical: same [`SimStats`] and the same byte-for-byte
-//! eviction stream, for every policy, prefetcher, eviction mechanism,
-//! injected program, and scripted-invalidation schedule.
+//! The simulator's run paths — the streaming pass and the set-batched
+//! replay of a captured stream — must be observationally identical to the
+//! checker-owned [`reference`](crate::reference) frontend: same
+//! [`SimStats`] and the same byte-for-byte eviction stream, for every
+//! policy, prefetcher, eviction mechanism, injected program, and
+//! scripted-invalidation schedule.
 //!
-//! A second, independent oracle checks warmup accounting on the interned
-//! path alone: warmup is a *stats-only* gate, so rerunning a case with
-//! `warmup_fraction = 0` must leave the eviction stream untouched and can
-//! only grow each counter. This catches warmup bugs mirrored identically
-//! in both frontends, which pure path comparison cannot see.
+//! A second, independent oracle checks warmup accounting on the
+//! production path alone: warmup is a *stats-only* gate, so rerunning a
+//! case with `warmup_fraction = 0` must leave the eviction stream
+//! untouched and can only grow each counter. This catches warmup bugs
+//! mirrored identically in production and reference, which pure
+//! comparison cannot see.
 
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng, StdRng};
 use ripple_obs::MetricsRecorder;
-use ripple_sim::{LinePath, PolicyKind, SimStats};
+use ripple_sim::{EvictionEvent, PolicyKind, SimStats};
 
-use crate::case::{all_policies, gen_full_case, run_path, run_path_recorded, FullCase};
+use crate::case::{
+    all_policies, gen_full_case, run_path, run_path_recorded, run_reference, FullCase,
+};
 use crate::shrink::{min_failing_prefix, shrink_list};
 
 /// Named u64 counters of [`SimStats`], for field-level diff messages and
@@ -59,14 +64,17 @@ fn diff_stats(a: &SimStats, b: &SimStats) -> String {
     fields.join(", ")
 }
 
-/// The divergence test applied to one (case, policy) pair.
-fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
-    let (si, ei) = run_path(case, policy, LinePath::Interned);
-    let (sr, er) = run_path(case, policy, LinePath::Reference);
+/// How one production run diverges from the reference, if it does.
+fn divergence(
+    path: &str,
+    policy: PolicyKind,
+    (si, ei): &(SimStats, Vec<EvictionEvent>),
+    (sr, er): &(SimStats, Vec<EvictionEvent>),
+) -> Option<String> {
     if si != sr {
         return Some(format!(
-            "interned and reference stats diverge under {policy:?}: {}",
-            diff_stats(&si, &sr)
+            "{path} and reference stats diverge under {policy:?}: {}",
+            diff_stats(si, sr)
         ));
     }
     if ei != er {
@@ -76,20 +84,40 @@ fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
             .position(|(a, b)| a != b)
             .unwrap_or(ei.len().min(er.len()));
         return Some(format!(
-            "eviction streams diverge under {policy:?} at event {idx} ({} vs {} events)",
+            "{path} and reference eviction streams diverge under {policy:?} at event {idx} \
+             ({} vs {} events)",
             ei.len(),
             er.len()
         ));
     }
+    None
+}
 
-    // Independent warmup oracle on the interned path.
+/// The divergence test applied to one (case, policy) pair.
+fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
+    let reference = run_reference(case, policy);
+    let production = run_path(case, policy, false);
+    if let Some(message) = divergence("production", policy, &production, &reference) {
+        return Some(message);
+    }
+    // An online set-local policy takes the set-batched replay path once
+    // the session holds a capture (oracles always do already).
+    if !policy.is_offline_ideal() && policy.replay_set_local() {
+        let captured = run_path(case, policy, true);
+        if let Some(message) = divergence("captured replay", policy, &captured, &reference) {
+            return Some(message);
+        }
+    }
+    let (si, ei) = production;
+
+    // Independent warmup oracle on the production path.
     if case.config.warmup_fraction > 0.0 {
         let cold = {
             let mut c = case.with_script(case.script().map(<[_]>::to_vec).unwrap_or_default());
             c.config.warmup_fraction = 0.0;
             c
         };
-        let (sc, ec) = run_path(&cold, policy, LinePath::Interned);
+        let (sc, ec) = run_path(&cold, policy, false);
         if ec != ei {
             return Some(format!(
                 "warmup changed the eviction stream under {policy:?}: {} cold vs {} warm events",
@@ -180,10 +208,9 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
 pub fn check_recorded(seed: u64) -> Result<(), (String, String)> {
     let case = gen_full_case(seed);
     let policy = pick_policy(seed);
-    let (plain_stats, plain_events) = run_path(&case, policy, LinePath::Interned);
+    let (plain_stats, plain_events) = run_path(&case, policy, false);
     let recorder = Arc::new(MetricsRecorder::new());
-    let (rec_stats, rec_events) =
-        run_path_recorded(&case, policy, LinePath::Interned, recorder.clone());
+    let (rec_stats, rec_events) = run_path_recorded(&case, policy, recorder.clone());
     let problem = if rec_stats != plain_stats {
         Some(format!(
             "recorder changed the stats under {policy:?}: {}",

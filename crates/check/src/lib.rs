@@ -11,9 +11,10 @@
 //! 2. [`belady`] — an exhaustive Belady search on short request streams
 //!    that lower-bounds (and, demand-only, pins exactly) the offline ideal
 //!    policies `Opt` and `DemandMin`;
-//! 3. [`equiv`] — interned vs reference frontend paths on random full
-//!    simulations (stats *and* eviction streams), plus an independent
-//!    warmup-accounting oracle;
+//! 3. [`equiv`] — the simulator's streaming and set-batched run paths vs
+//!    the checker-owned [`reference`](mod@reference) frontend on random
+//!    full simulations (stats *and* eviction streams), plus an
+//!    independent warmup-accounting oracle;
 //! 4. [`threads`] — thread-count invariance of the parallel policy matrix
 //!    and single-shot offline recording;
 //! 5. [`trace_rt`] — packet encode→decode and end-to-end trace
@@ -27,7 +28,7 @@
 //! 8. [`shards`] — replay shard-count invariance: stats and eviction
 //!    streams byte-identical at 1, 2, 4 and 7 replay shards for every
 //!    registered policy (set-local families shard, the rest must fall
-//!    back to sequential replay unchanged);
+//!    back to the streaming pass unchanged);
 //! 9. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
 //!    weighted profile merging must equal physically repeating each shard
 //!    `weight` times in one long trace, independent of shard order, all
@@ -50,6 +51,7 @@ pub mod faults;
 pub mod fleet;
 pub mod lab;
 pub mod model_cache;
+pub mod reference;
 pub mod rewrite_eq;
 pub mod shards;
 pub mod shrink;
@@ -63,7 +65,7 @@ pub enum Dimension {
     ModelCache,
     /// Exhaustive Belady bound on the offline ideal policies.
     Belady,
-    /// Interned vs reference frontend equivalence + warmup oracle.
+    /// Production vs reference frontend equivalence + warmup oracle.
     Equivalence,
     /// Thread-count invariance of the parallel harness.
     Threads,

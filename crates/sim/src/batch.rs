@@ -1,26 +1,26 @@
 //! Set-batched (and optionally sharded) replay of a captured request
 //! stream.
 //!
-//! The sequential [`ReplayFrontend`](crate::replay::ReplayFrontend) walks
-//! the packed stream in trace order, so consecutive requests land in
-//! unrelated cache sets and every tag probe is a cold cache line. For
-//! policies whose decisions depend only on the *per-set order* of events
-//! ([`ReplacementPolicy::replay_set_local`]), trace order is overkill:
-//! this module buckets the stream's operations by L1I set once per session
-//! and replays each set's operations contiguously — the set's tags, the
-//! policy's per-set metadata and the (permuted) future index all stay hot.
+//! The streaming pass walks requests in trace order, so consecutive
+//! requests land in unrelated cache sets and every tag probe is a cold
+//! cache line. For policies whose decisions depend only on the *per-set
+//! order* of events ([`ReplacementPolicy::replay_set_local`]), trace order
+//! is overkill: this module buckets the stream's operations by L1I set
+//! once per session and replays each set's operations contiguously — the
+//! set's tags, the policy's per-set metadata and the (permuted) future
+//! index all stay hot.
 //!
 //! Bucketed replay is also the unit of parallelism: sets are partitioned
 //! round-robin across `config.replay_shards` worker threads, each with its
 //! own L1I, L2 and pre-warmed L3 clone. Because every L2/L3 set is touched
 //! by exactly one L1I set whenever the L1I set count divides the L2 and L3
 //! set counts (checked at bucketing time), each shard observes exactly the
-//! per-set access orders of the sequential run, and the shard outputs merge
+//! per-set access orders of the streaming pass, and the shard outputs merge
 //! deterministically: `u64` counters sum, while the two order-sensitive
 //! outputs — `f64` stall-cycle terms and eviction events, of which each
 //! stream record produces at most one — are keyed by record position,
 //! sorted, and folded/emitted in stream order. The merged result is
-//! byte-identical to the sequential replay at any shard count.
+//! byte-identical to the streaming pass at any shard count.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,13 +30,13 @@ use ripple_program::{BlockId, Layout};
 use ripple_trace::BbTrace;
 
 use crate::cache::{AccessOutcome, Cache};
+use crate::capture::{ColumnarStream, LINE_MASK, PREFETCH_BIT};
 use crate::config::{EvictionMechanism, SimConfig};
-use crate::frontend::NO_POS;
-use crate::intern::{LineId, LineTable};
+use crate::intern::{BlockTable, LineId, LineTable};
 use crate::policy::{FutureIndex, LruPolicy, ReplacementPolicy};
-use crate::replay::{ColumnarStream, LINE_MASK, PREFETCH_BIT};
 use crate::sink::EvictionSink;
 use crate::stats::{EvictionEvent, SimStats};
+use crate::walk::{lower_levels, NO_POS};
 
 /// Operation kinds, stored in the top two bits of [`BucketedOp::word`].
 const KIND_DEMAND: u32 = 0;
@@ -98,13 +98,13 @@ pub(crate) struct BucketedStream {
     pub(crate) warmup_until: u64,
 }
 
-/// Walks every replayable operation of the session in sequential-replay
-/// order, reproducing the [`ReplayFrontend`](crate::replay::ReplayFrontend)
-/// step structure exactly: scripted invalidations first (with the same
-/// cursor semantics, including consuming out-of-order entries without
-/// effect), then the step's recorded requests, then injected invalidations.
+/// Walks every replayable operation of the session in trace order,
+/// reproducing the [`CacheWalk`](crate::walk::CacheWalk) step structure
+/// exactly: scripted invalidations first (with the same cursor semantics,
+/// including consuming out-of-order entries without effect), then the
+/// step's recorded requests, then injected invalidations.
 ///
-/// Operations that are no-ops in the sequential replay are dropped here:
+/// Operations that are no-ops in the cache walk are dropped here:
 /// scripted lines outside the text segment, injected operands interned as
 /// [`LineId::INVALID`], and all invalidations under
 /// [`EvictionMechanism::NoOp`] — none of them touch the cache or any
@@ -114,6 +114,7 @@ fn for_each_op(
     stream: &ColumnarStream,
     config: &SimConfig,
     table: &LineTable,
+    blocks: &BlockTable,
     mut f: impl FnMut(u32, BucketedOp),
 ) {
     let num_sets = config.l1i.num_sets();
@@ -177,7 +178,7 @@ fn for_each_op(
             }
         }
         if invals_active {
-            for &raw in stream.inval_ops(block) {
+            for &raw in blocks.inval_ops(block) {
                 if raw != LineId::INVALID.get() {
                     f(
                         set_of(raw),
@@ -199,8 +200,8 @@ fn for_each_op(
 ///
 /// - the L1I set count must divide the L2 and L3 set counts, so each
 ///   lower-level set is driven by exactly one L1I set (per-shard L2/L3
-///   clones then see per-set access orders identical to the sequential
-///   run's);
+///   clones then see per-set access orders identical to the streaming
+///   pass's);
 /// - line ids must fit 30 bits and trace/operation counts must fit `u32`
 ///   (the compact [`BucketedOp`] encoding).
 ///
@@ -212,6 +213,7 @@ pub(crate) fn bucket_stream(
     stream: &ColumnarStream,
     config: &SimConfig,
     table: &LineTable,
+    blocks: &BlockTable,
     future: &Arc<FutureIndex>,
 ) -> Option<BucketedStream> {
     let s1 = config.l1i.num_sets();
@@ -227,7 +229,7 @@ pub(crate) fn bucket_stream(
     }
     let num_sets = s1 as usize;
     let mut counts = vec![0u64; num_sets];
-    for_each_op(trace, stream, config, table, |set, _| {
+    for_each_op(trace, stream, config, table, blocks, |set, _| {
         counts[set as usize] += 1;
     });
     let total: u64 = counts.iter().sum();
@@ -243,13 +245,13 @@ pub(crate) fn bucket_stream(
     }
     let mut cursor: Vec<u32> = bounds[..num_sets].to_vec();
     let mut ops = vec![BucketedOp::default(); total as usize];
-    for_each_op(trace, stream, config, table, |set, op| {
+    for_each_op(trace, stream, config, table, blocks, |set, op| {
         let slot = &mut cursor[set as usize];
         ops[*slot as usize] = op;
         *slot += 1;
     });
     let future = future.permute(ops.iter().map(|op| op.seq));
-    let warmup_until = (trace_len as f64 * config.warmup_fraction.clamp(0.0, 0.9)) as u64;
+    let warmup_until = crate::generator::warmup_until(trace.len(), config);
     Some(BucketedStream {
         ops,
         bounds,
@@ -269,8 +271,8 @@ struct ShardOutcome {
 
 /// Replays the bucketed stream under fresh policies from `make_policy`,
 /// partitioned round-robin across `config.replay_shards` threads, and
-/// merges the shard outputs into stats byte-identical to the sequential
-/// [`ReplayFrontend`](crate::replay::ReplayFrontend) pass.
+/// merges the shard outputs into stats byte-identical to the streaming
+/// pass.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batched<P: ?Sized + ReplacementPolicy>(
     layout: &Layout,
@@ -334,7 +336,7 @@ pub(crate) fn run_batched<P: ?Sized + ReplacementPolicy>(
     };
 
     // Merge. Counters sum; the f64 stall terms and the eviction events are
-    // re-ordered by record position, reproducing the sequential pass's
+    // re-ordered by record position, reproducing the streaming pass's
     // accumulation order exactly (each record contributes at most one term
     // and one event, so keys are unique and the sort is total).
     let mut stats = SimStats::default();
@@ -363,15 +365,7 @@ pub(crate) fn run_batched<P: ?Sized + ReplacementPolicy>(
         sink.record(event);
     }
 
-    let base = stream.base;
-    stats.blocks = base.blocks;
-    stats.instructions = base.instructions;
-    stats.invalidate_instructions = base.invalidate_instructions;
-    stats.demand_accesses = base.demand_accesses;
-    stats.prefetches_issued = base.prefetches_issued;
-    stats.mispredictions = base.mispredictions;
-    let total_instr = stats.instructions + stats.invalidate_instructions;
-    stats.cycles = total_instr as f64 * config.base_cpi + stall_cycles;
+    let stats = stream.base.complete(stats, stall_cycles, config);
 
     if let Some(run_start) = run_start {
         // Batched replay has no warmup/measure boundary instant (shards
@@ -391,7 +385,7 @@ pub(crate) fn run_batched<P: ?Sized + ReplacementPolicy>(
 }
 
 /// Replays every set `s` with `s % shards == shard` through a fresh cache
-/// hierarchy, mirroring the sequential replay's per-operation semantics
+/// hierarchy, mirroring the cache walk's per-operation semantics
 /// exactly (same counters, same stall-term expressions, same eviction
 /// events — only execution order differs, and only across sets).
 #[allow(clippy::too_many_arguments)]
@@ -415,7 +409,8 @@ fn run_shard<P: ?Sized + ReplacementPolicy>(
     let mut stall: Vec<(u32, f64)> = Vec::new();
     let mut events: Vec<(u32, EvictionEvent)> = Vec::new();
     // Per-line replay state; a line belongs to exactly one L1I set, so
-    // shards touch disjoint entries and per-line order matches sequential.
+    // shards touch disjoint entries and per-line order matches the
+    // streaming pass.
     let mut last_demand = vec![NO_POS_32; lines];
     let mut issue = vec![NO_POS_32; lines];
     let mut seen = vec![false; lines];
@@ -537,35 +532,5 @@ fn run_shard<P: ?Sized + ReplacementPolicy>(
         stats,
         stall,
         events,
-    }
-}
-
-/// The L2 → L3 → memory fill path, identical to the sequential replay's.
-fn lower_levels(
-    l2: &mut Cache<LruPolicy>,
-    l3: &mut Cache<LruPolicy>,
-    stats: &mut SimStats,
-    config: &SimConfig,
-    table: &LineTable,
-    id: LineId,
-    counting: bool,
-) -> u32 {
-    let pc = table.line(id).base_addr();
-    if l2.access(id, pc, false, 0).is_hit() {
-        if counting {
-            stats.served_l2 += 1;
-        }
-        return config.l2_latency;
-    }
-    if l3.access(id, pc, false, 0).is_hit() {
-        if counting {
-            stats.served_l3 += 1;
-        }
-        config.l3_latency
-    } else {
-        if counting {
-            stats.served_mem += 1;
-        }
-        config.mem_latency
     }
 }

@@ -179,22 +179,6 @@ pub enum EvictionMechanism {
     NoOp,
 }
 
-/// Which frontend implementation drives the simulation.
-///
-/// Both paths produce byte-identical results (the equivalence suite
-/// asserts it); [`LinePath::Reference`] exists as the oracle for that
-/// suite and as the pre-interning performance baseline.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinePath {
-    /// Dense interned path: per-layout `LineId`s, a precomputed fetch
-    /// plan, and `Vec`-indexed frontend/policy state.
-    #[default]
-    Interned,
-    /// Pre-interning reference: per-step block→line enumeration and
-    /// hash-keyed bookkeeping, kept verbatim for equivalence checking.
-    Reference,
-}
-
 /// Full simulator configuration.
 ///
 /// Defaults reproduce the paper's Table II: Haswell-class latencies, a
@@ -248,9 +232,6 @@ pub struct SimConfig {
     /// bloat — the upper bound of Ripple's mechanism — and is used by the
     /// ablation benches and tests.
     pub scripted_invalidations: Option<std::sync::Arc<Vec<(u64, ripple_program::LineAddr)>>>,
-    /// Which frontend implementation to run (identical results either
-    /// way; `Reference` is the equivalence oracle).
-    pub line_path: LinePath,
     /// Profile-derived code-temperature classes consumed by hint-guided
     /// policies (currently TRRIP). `None` means every line is warm and
     /// such policies degrade to their unhinted backbone.
@@ -259,7 +240,8 @@ pub struct SimConfig {
     /// L1I sets across them (1 = single-threaded). Results are
     /// byte-identical for any value: sharding only applies where the
     /// policy is set-local and the geometry permits, and falls back to
-    /// sequential replay otherwise. A perf knob, not a semantic one.
+    /// the single-threaded streaming pass otherwise. A perf knob, not a
+    /// semantic one.
     pub replay_shards: usize,
 }
 
@@ -283,7 +265,6 @@ impl Default for SimConfig {
             eviction_mechanism: EvictionMechanism::Invalidate,
             warmup_fraction: 0.25,
             scripted_invalidations: None,
-            line_path: LinePath::default(),
             temperatures: None,
             replay_shards: 1,
         }
@@ -300,12 +281,6 @@ impl SimConfig {
     /// Convenience: this configuration with a different prefetcher.
     pub fn with_prefetcher(mut self, prefetcher: PrefetcherKind) -> Self {
         self.prefetcher = prefetcher;
-        self
-    }
-
-    /// Convenience: this configuration with a different frontend path.
-    pub fn with_line_path(mut self, line_path: LinePath) -> Self {
-        self.line_path = line_path;
         self
     }
 
@@ -467,12 +442,6 @@ impl SimConfigBuilder {
     /// position; [`SimConfigBuilder::build`] checks).
     pub fn scripted_invalidations(mut self, script: Vec<(u64, ripple_program::LineAddr)>) -> Self {
         self.config.scripted_invalidations = Some(std::sync::Arc::new(script));
-        self
-    }
-
-    /// Sets the frontend line path.
-    pub fn line_path(mut self, line_path: LinePath) -> Self {
-        self.config.line_path = line_path;
         self
     }
 

@@ -1,18 +1,35 @@
 //! The trace-driven simulation engine.
 //!
-//! Online policies run in a single pass. Offline-ideal policies (OPT,
-//! Demand-MIN) run in two: a recording pass captures the L1I request
-//! stream — which is replacement-policy-independent, because prefetcher
-//! and branch-predictor state never observe cache contents — a
-//! [`FutureIndex`] is built from it, and the replay pass re-runs the
-//! frontend with the oracle policy.
+//! A simulation is two halves: the [request generator](crate::generator),
+//! which turns the block trace into the L1I request stream, and the
+//! [cache walk](crate::walk), which drives that stream through the cache
+//! hierarchy under one replacement policy. The request stream is
+//! replacement-policy-independent — prefetcher and branch-predictor state
+//! never observe cache contents — so one generated stream is valid for
+//! every policy.
 //!
-//! [`SimSession`] makes that recording pass *shared*: it captures the
-//! request stream and its [`FutureIndex`] at most once per
-//! (program, layout, trace, config) and replays arbitrary policies against
-//! it, so a policy matrix pays for recording once instead of once per
-//! oracle run. Sessions are `Sync`; one session can serve replays from many
-//! threads concurrently.
+//! A run takes one of two paths:
+//!
+//! * the **streaming pass**: the generator feeds the cache walk directly,
+//!   with no buffer in between;
+//! * **set-batched replay** ([`batch`](crate::batch)): a captured stream,
+//!   bucketed by L1I set once per session, replayed set-major and
+//!   optionally sharded across threads.
+//!
+//! A run is batched when its policy is set-local, the session's shape
+//! permits bucketing, and a capture exists. Offline-ideal policies (OPT,
+//! Demand-MIN) always capture, because their [`FutureIndex`] is built from
+//! the capture; online policies capture only when sharded replay was
+//! requested, and otherwise use a capture only if one already exists.
+//! Everything else streams — including an oracle whose
+//! geometry rules batching out, which re-streams the trace under the
+//! oracle policy (the generator is deterministic, so the walk's request
+//! index equals the capture index the future index is keyed by).
+//!
+//! [`SimSession`] shares the capture, its [`FutureIndex`] and its bucketed
+//! form across runs: a policy matrix pays for them at most once per
+//! (program, layout, trace, config). Sessions are `Sync`; one session can
+//! serve runs from many threads concurrently.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -22,45 +39,35 @@ use ripple_program::{Layout, Program};
 use ripple_trace::{BbTrace, TraceHealth};
 
 use crate::batch::BucketedStream;
-use crate::config::{LinePath, PolicyKind, SimConfig};
-use crate::frontend::Frontend;
-use crate::intern::{FetchPlan, LineTable, PlanCache};
+use crate::cache::Cache;
+use crate::capture::{capture, ColumnarStream, StreamLimitError};
+use crate::config::{PolicyKind, SimConfig};
+use crate::generator::{warmup_until, RequestGenerator};
+use crate::intern::{BlockTable, FetchPlan, LineTable, PlanCache};
 use crate::policy::{
     build_ideal_policy, build_policy, DemandMinPolicy, FutureIndex, LruPolicy, OptPolicy,
-    ReplacementPolicy, StreamRecord,
+    ReplacementPolicy,
 };
-use crate::reference::ReferenceFrontend;
-use crate::replay::{CaptureFrontend, ColumnarStream, ReplayFrontend, StreamLimitError};
 use crate::sink::{EvictionSink, NullSink};
 use crate::stats::SimStats;
+use crate::walk::{prewarm_l3, CacheWalk};
 
-/// The policy-independent artifacts of a recording pass.
-enum RecordedStream {
-    /// Interned path: the bit-packed columnar capture. Every policy —
-    /// oracle or online — replays it through [`ReplayFrontend`].
-    Columnar {
-        stream: ColumnarStream,
-        future: Arc<FutureIndex>,
-    },
-    /// Reference path: the legacy materialized stream, kept verbatim as
-    /// the equivalence oracle (replays re-derive the stream and verify
-    /// against it).
-    Reference {
-        stream: Vec<StreamRecord>,
-        future: Arc<FutureIndex>,
-    },
+/// The policy-independent artifacts of a capture.
+struct Recording {
+    stream: ColumnarStream,
+    future: Arc<FutureIndex>,
 }
 
 /// A reusable simulation context over one (program, layout, trace, config).
 ///
 /// The session replays any [`PolicyKind`] against the same inputs. For
-/// offline-ideal policies it records the L1I request stream lazily, exactly
-/// once, and shares the resulting [`FutureIndex`] across replays — including
-/// concurrent replays from multiple threads, since `&self` suffices to run.
+/// offline-ideal policies it captures the L1I request stream lazily, exactly
+/// once, and shares the resulting [`FutureIndex`] across runs — including
+/// concurrent runs from multiple threads, since `&self` suffices to run.
 ///
 /// The per-run policy overrides `config.policy`; everything else in the
 /// config (geometry, prefetcher, eviction mechanism, scripted
-/// invalidations) is fixed for the session's lifetime. The recorded stream
+/// invalidations) is fixed for the session's lifetime. The captured stream
 /// is valid for every policy because the request stream only depends on the
 /// trace, the layout and the prefetcher — never on cache contents.
 ///
@@ -81,7 +88,7 @@ enum RecordedStream {
 /// let demand_min = session.run(PolicyKind::DEMAND_MIN);
 /// assert!(opt.demand_misses <= lru.demand_misses);
 /// assert!(demand_min.demand_misses <= lru.demand_misses);
-/// // Both oracle replays shared one recording pass.
+/// // Both oracle runs shared one recording pass.
 /// assert_eq!(session.recording_passes(), 1);
 /// ```
 pub struct SimSession<'a> {
@@ -95,15 +102,17 @@ pub struct SimSession<'a> {
     table: LineTable,
     /// Precomputed block → interned-lines fetch plan over `table`.
     plan: FetchPlan,
-    recorded: OnceLock<Result<RecordedStream, StreamLimitError>>,
-    /// The recorded stream bucketed by L1I set for set-major (and sharded)
-    /// replay, built lazily on the first eligible replay; `None` when the
+    /// Per-block instruction counts and interned invalidate operands.
+    blocks: BlockTable,
+    recorded: OnceLock<Result<Recording, StreamLimitError>>,
+    /// The captured stream bucketed by L1I set for set-major (and sharded)
+    /// replay, built lazily on the first eligible run; `None` when the
     /// session's shape rules batching out (see
     /// [`crate::batch::bucket_stream`]).
     bucketed: OnceLock<Option<BucketedStream>>,
-    /// The steady-state L3 pre-warm every columnar replay starts from,
-    /// built lazily on the first replay and cloned into each run.
-    l3_seed: OnceLock<crate::cache::Cache<LruPolicy>>,
+    /// The steady-state L3 pre-warm every batched shard starts from, built
+    /// lazily on the first batched run and cloned into each shard.
+    l3_seed: OnceLock<Cache<LruPolicy>>,
     recording_passes: AtomicU32,
     /// Set once the session has warned on stderr that a `replay_shards`
     /// request was downgraded to sequential replay, so a policy matrix
@@ -150,6 +159,7 @@ impl<'a> SimSession<'a> {
     ) -> Self {
         let table = LineTable::build(layout);
         let plan = FetchPlan::build_cached(program, layout, &table, prev);
+        let blocks = BlockTable::build(program, &table);
         SimSession {
             program,
             layout,
@@ -157,6 +167,7 @@ impl<'a> SimSession<'a> {
             config,
             table,
             plan,
+            blocks,
             recorded: OnceLock::new(),
             bucketed: OnceLock::new(),
             l3_seed: OnceLock::new(),
@@ -268,100 +279,31 @@ impl<'a> SimSession<'a> {
     ) -> Result<SimStats, StreamLimitError> {
         let timer = PhaseTimer::start(&*self.recorder);
         let cfg = self.config.clone().with_policy(policy);
-        let mut used_batched = false;
-        let mut stats = if policy.is_offline_ideal() {
-            match self.recorded()? {
-                RecordedStream::Columnar { stream, future } => {
-                    let batched = if policy.replay_set_local() {
-                        self.bucketed(stream, future)
-                    } else {
-                        None
-                    };
-                    if let Some(b) = batched {
-                        // Set-major (and, when configured, sharded) replay;
-                        // monomorphized factories for the two known oracles
-                        // so the policy callbacks inline into the hot loop.
-                        used_batched = true;
-                        let geom = cfg.l1i;
-                        let fut = b.future.clone();
-                        if policy == PolicyKind::OPT {
-                            let make = move || Box::new(OptPolicy::new(geom, fut.clone()));
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        } else if policy == PolicyKind::DEMAND_MIN {
-                            let make = move || Box::new(DemandMinPolicy::new(geom, fut.clone()));
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        } else {
-                            let make = move || build_ideal_policy(policy, geom, fut.clone());
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        }
-                    } else if policy == PolicyKind::OPT {
-                        // Sequential replay fallback, monomorphized as
-                        // above.
-                        let oracle = Box::new(OptPolicy::new(cfg.l1i, future.clone()));
-                        self.run_replay(&cfg, oracle, stream, sink)
-                    } else if policy == PolicyKind::DEMAND_MIN {
-                        let oracle = Box::new(DemandMinPolicy::new(cfg.l1i, future.clone()));
-                        self.run_replay(&cfg, oracle, stream, sink)
-                    } else {
-                        let oracle = build_ideal_policy(policy, cfg.l1i, future.clone());
-                        self.run_replay(&cfg, oracle, stream, sink)
-                    }
-                }
-                RecordedStream::Reference { stream, future } => {
-                    let oracle = build_ideal_policy(policy, cfg.l1i, future.clone());
-                    self.run_frontend(&cfg, oracle, false, Some(stream), sink).0
-                }
-            }
+        // Oracles always capture: their future index is built from it.
+        // Online policies force a capture only for sharded replay, which
+        // exists only on the batched path, and otherwise use one if it is
+        // already in hand. A failed online capture streams instead, which
+        // has no u32 position limit.
+        let recording = if policy.is_offline_ideal() {
+            Some(self.recorded()?)
+        } else if cfg.replay_shards > 1 && policy.replay_set_local() {
+            self.recorded().ok()
         } else {
-            // Online policy. Replay the capture when one is already in
-            // hand (byte-identical to a fresh frontend pass, minus the
-            // fetch plan, predictor and filter); additionally *force* a
-            // capture when sharded replay was requested and the policy
-            // permits it, since sharding only exists on the replay path.
-            let capture_ready = matches!(
-                self.recorded.get(),
-                Some(Ok(RecordedStream::Columnar { .. }))
-            );
-            let want_batched = cfg.replay_shards > 1
-                && cfg.line_path == LinePath::Interned
-                && policy.replay_set_local();
-            if capture_ready || want_batched {
-                match self.recorded() {
-                    Ok(RecordedStream::Columnar { stream, future }) => {
-                        let batched = if policy.replay_set_local() {
-                            self.bucketed(stream, future)
-                        } else {
-                            None
-                        };
-                        if let Some(b) = batched {
-                            used_batched = true;
-                            let make = || build_policy(&cfg);
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        } else {
-                            self.run_replay(&cfg, build_policy(&cfg), stream, sink)
-                        }
-                    }
-                    // Reference recordings don't replay online policies;
-                    // a failed capture falls back to the single-pass
-                    // frontend, which has no u32 position limit.
-                    Ok(RecordedStream::Reference { .. }) | Err(_) => {
-                        self.run_frontend(&cfg, build_policy(&cfg), false, None, sink)
-                            .0
-                    }
-                }
-            } else {
-                let policy = build_policy(&cfg);
-                self.run_frontend(&cfg, policy, false, None, sink).0
-            }
+            self.recorded.get().and_then(|r| r.as_ref().ok())
         };
-        if cfg.replay_shards > 1 && !used_batched {
+        let batched = recording
+            .filter(|_| policy.replay_set_local())
+            .and_then(|rec| Some((rec, self.bucketed(rec)?)));
+        let mut stats = match batched {
+            Some((rec, bucketed)) => self.run_batched(&cfg, rec, bucketed, sink),
+            None => self.run_streaming(&cfg, recording.map(|rec| &rec.future), sink),
+        };
+        if cfg.replay_shards > 1 && batched.is_none() {
             // The shard request was silently unusable for this run; say so
             // once (stderr) and always (gauge) instead of quietly running
             // the sequential path.
             let reason = if !policy.replay_set_local() {
                 "the policy has no set-local replay state"
-            } else if cfg.line_path != LinePath::Interned {
-                "the reference line path has no sharded replay"
             } else {
                 "the trace or cache geometry is ineligible for set-batched replay \
                  (set divisibility, line-id width, or stream-size limits)"
@@ -402,61 +344,22 @@ impl<'a> SimSession<'a> {
         Ok(stats)
     }
 
-    /// Runs one frontend pass, dispatching on the configured
-    /// [`LinePath`]. Both paths are byte-identical in their outputs; the
-    /// reference path exists as the equivalence oracle and performance
-    /// baseline.
-    fn run_frontend(
-        &self,
-        cfg: &SimConfig,
-        l1i_policy: Box<dyn ReplacementPolicy>,
-        record: bool,
-        verify: Option<&[StreamRecord]>,
-        sink: &mut dyn EvictionSink,
-    ) -> (SimStats, Option<Vec<StreamRecord>>) {
-        match cfg.line_path {
-            LinePath::Interned => Frontend::new(
-                self.program,
-                self.layout,
-                cfg,
-                &self.table,
-                &self.plan,
-                l1i_policy,
-                record,
-                verify,
-                sink,
-                &*self.recorder,
-            )
-            .run(self.trace.iter()),
-            LinePath::Reference => ReferenceFrontend::new(
-                self.program,
-                self.layout,
-                cfg,
-                l1i_policy,
-                record,
-                verify,
-                sink,
-                &*self.recorder,
-            )
-            .run(self.trace.iter()),
-        }
-    }
-
     /// Statistics for the paper's *ideal I-cache* (no misses at all).
     pub fn run_ideal_cache(&self) -> SimStats {
         simulate_ideal_cache(self.program, self.trace, &self.config)
     }
 
-    /// How many frontend recording passes this session has performed
-    /// (0 before any oracle replay, never more than 1 after).
+    /// How many capture passes this session has performed (0 before any
+    /// oracle run, never more than 1 after).
     pub fn recording_passes(&self) -> u32 {
         self.recording_passes.load(Ordering::Acquire)
     }
 
-    /// Forces the shared recording pass (and its [`FutureIndex`]) to run
-    /// now; it otherwise happens lazily on the first offline-ideal
-    /// replay. Lets callers pay the pass up front — before spawning
-    /// replay threads, or to time recording and replay separately.
+    /// Forces the shared capture pass (and its [`FutureIndex`]) to run
+    /// now; it otherwise happens lazily on the first offline-ideal run.
+    /// Lets callers pay the pass up front — before spawning replay
+    /// threads, or to time recording and replay separately. Set-local
+    /// policies then take the set-batched replay path.
     ///
     /// # Panics
     ///
@@ -478,144 +381,163 @@ impl<'a> SimSession<'a> {
         self.recorded().map(|_| ())
     }
 
-    fn recorded(&self) -> Result<&RecordedStream, StreamLimitError> {
+    /// A fresh request generator over this session's trace inputs.
+    fn generator<'s>(&'s self, cfg: &'s SimConfig) -> RequestGenerator<'s> {
+        RequestGenerator::new(
+            self.program,
+            self.layout,
+            cfg,
+            &self.plan,
+            &self.blocks,
+            self.table.len(),
+        )
+    }
+
+    fn recorded(&self) -> Result<&Recording, StreamLimitError> {
         self.recorded
             .get_or_init(|| {
                 self.recording_passes.fetch_add(1, Ordering::AcqRel);
                 self.recorder.add("session.recording_passes", 1);
-                match self.config.line_path {
-                    LinePath::Interned => {
-                        // The request stream never reads cache contents, so
-                        // the capture pass runs no cache model at all: one
-                        // walk through the predictor and prefetch filter,
-                        // bit-packed as it goes. A trace beyond the u32
-                        // record capacity surfaces here, at record time,
-                        // and the error is cached like a successful pass.
-                        let stream = time_phase(&*self.recorder, "session.record", || {
-                            CaptureFrontend::new(
-                                self.program,
-                                self.layout,
-                                &self.config,
-                                &self.table,
-                                &self.plan,
-                                &*self.recorder,
-                            )
-                            .run(self.trace.iter())
-                        })?;
-                        let future = time_phase(&*self.recorder, "session.future_index", || {
-                            FutureIndex::build_packed(&stream.packed, self.table.len())
-                        });
-                        Ok(RecordedStream::Columnar { stream, future })
-                    }
-                    LinePath::Reference => {
-                        // The recording policy is irrelevant to the captured
-                        // stream; LRU is the cheapest throwaway.
-                        let cfg = self.config.clone().with_policy(PolicyKind::LRU);
-                        let mut sink = NullSink;
-                        let (_, stream) = time_phase(&*self.recorder, "session.record", || {
-                            self.run_frontend(
-                                &cfg,
-                                Box::new(LruPolicy::new(cfg.l1i)),
-                                true,
-                                None,
-                                &mut sink,
-                            )
-                        });
-                        // `run_frontend` with `record = true` always returns a
-                        // stream.
-                        #[allow(clippy::expect_used)]
-                        let stream = stream.expect("recording pass returns a stream");
-                        let future = time_phase(&*self.recorder, "session.future_index", || {
-                            FutureIndex::build(&stream)
-                        });
-                        Ok(RecordedStream::Reference { stream, future })
-                    }
-                }
+                // The request stream never reads cache contents, so the
+                // capture runs no cache model at all: one generator pass,
+                // bit-packed as it goes. A trace beyond the u32 record
+                // capacity surfaces here, at record time, and the error is
+                // cached like a successful pass.
+                let stream = time_phase(&*self.recorder, "session.record", || {
+                    capture(
+                        self.generator(&self.config),
+                        self.table.len(),
+                        self.trace.iter(),
+                        &*self.recorder,
+                    )
+                })?;
+                let future = time_phase(&*self.recorder, "session.future_index", || {
+                    FutureIndex::build_packed(&stream.packed, self.table.len())
+                });
+                Ok(Recording { stream, future })
             })
             .as_ref()
             .map_err(|&e| e)
     }
 
-    /// The recorded stream bucketed by L1I set, built once per session;
+    /// The captured stream bucketed by L1I set, built once per session;
     /// `None` when the session's shape rules set-batched replay out.
-    fn bucketed(
-        &self,
-        stream: &ColumnarStream,
-        future: &std::sync::Arc<FutureIndex>,
-    ) -> Option<&BucketedStream> {
+    fn bucketed(&self, rec: &Recording) -> Option<&BucketedStream> {
         self.bucketed
             .get_or_init(|| {
                 time_phase(&*self.recorder, "session.bucket", || {
                     crate::batch::bucket_stream(
                         self.trace,
-                        stream,
+                        &rec.stream,
                         &self.config,
                         &self.table,
-                        future,
+                        &self.blocks,
+                        &rec.future,
                     )
                 })
             })
             .as_ref()
     }
 
-    /// Replays the bucketed stream set-major under fresh policies from
-    /// `make_policy`, sharded per `cfg.replay_shards`; byte-identical to
-    /// [`SimSession::run_replay`] (the `ripple-check` shards dimension
-    /// asserts this).
-    fn run_batched<P: ?Sized + ReplacementPolicy>(
+    /// The streaming pass: the request generator feeds the cache walk
+    /// directly. `future` is the capture's index, present for oracles.
+    ///
+    /// The walk pre-warms a fresh L3 rather than cloning the session's
+    /// seed: the fill touches only the program's lines, while a clone
+    /// copies the whole L3, which costs more for all but large programs
+    /// and doubled the per-op time of many-small-session workloads such as
+    /// `fleet`.
+    fn run_streaming(
         &self,
         cfg: &SimConfig,
-        stream: &ColumnarStream,
+        future: Option<&Arc<FutureIndex>>,
+        sink: &mut dyn EvictionSink,
+    ) -> SimStats {
+        let mut walk = CacheWalk::new(
+            self.layout,
+            cfg,
+            &self.table,
+            &self.blocks,
+            prewarm_l3(self.program, &self.table, &self.plan, &self.config),
+            policy_for(cfg, future),
+            warmup_until(self.trace.len(), cfg),
+            sink,
+        );
+        let Ok(base) = self
+            .generator(cfg)
+            .run(self.trace.iter(), &mut walk, &*self.recorder);
+        walk.finish(base)
+    }
+
+    /// Set-batched (and, when configured, sharded) replay of the bucketed
+    /// capture; byte-identical to the streaming pass (the `ripple-check`
+    /// shards dimension asserts this). The two known oracles get
+    /// monomorphized factories so their callbacks inline into the
+    /// set-major loop.
+    fn run_batched(
+        &self,
+        cfg: &SimConfig,
+        rec: &Recording,
+        bucketed: &BucketedStream,
+        sink: &mut dyn EvictionSink,
+    ) -> SimStats {
+        let (geom, future) = (cfg.l1i, &bucketed.future);
+        match cfg.policy {
+            PolicyKind::OPT => self.replay_sets(
+                cfg,
+                rec,
+                bucketed,
+                &|| Box::new(OptPolicy::new(geom, future.clone())),
+                sink,
+            ),
+            PolicyKind::DEMAND_MIN => self.replay_sets(
+                cfg,
+                rec,
+                bucketed,
+                &|| Box::new(DemandMinPolicy::new(geom, future.clone())),
+                sink,
+            ),
+            _ => self.replay_sets(cfg, rec, bucketed, &|| policy_for(cfg, Some(future)), sink),
+        }
+    }
+
+    fn replay_sets<P: ?Sized + ReplacementPolicy>(
+        &self,
+        cfg: &SimConfig,
+        rec: &Recording,
         bucketed: &BucketedStream,
         make_policy: &(dyn Fn() -> Box<P> + Sync),
         sink: &mut dyn EvictionSink,
     ) -> SimStats {
-        let l3_seed = self.l3_seed.get_or_init(|| {
-            crate::replay::prewarm_l3(self.program, &self.table, &self.plan, &self.config)
-        });
+        // The steady-state L3 pre-warm depends only on session-level state
+        // (program, plan, geometry — never the policy), so it is built on
+        // the first batched run and cloned into each shard.
+        let l3_seed = self
+            .l3_seed
+            .get_or_init(|| prewarm_l3(self.program, &self.table, &self.plan, &self.config));
         crate::batch::run_batched(
             self.layout,
             cfg,
             &self.table,
             bucketed,
-            stream,
+            &rec.stream,
             l3_seed,
             make_policy,
             sink,
             &*self.recorder,
         )
     }
+}
 
-    /// Replays the captured columnar stream under `l1i_policy`.
-    fn run_replay<P: ?Sized + ReplacementPolicy>(
-        &self,
-        cfg: &SimConfig,
-        l1i_policy: Box<P>,
-        stream: &ColumnarStream,
-        sink: &mut dyn EvictionSink,
-    ) -> SimStats {
-        // The steady-state L3 pre-warm only depends on session-level state
-        // (program, plan, geometry — never the policy), so it is built on
-        // the first replay and cloned into later ones instead of re-running
-        // the O(blocks × lines) fill loop per run.
-        let l3_seed = self.l3_seed.get_or_init(|| {
-            crate::replay::prewarm_l3(self.program, &self.table, &self.plan, &self.config)
-        });
-        if self.recorder.enabled() {
-            // The sequential replay clones the shared L3 seed exactly once.
-            self.recorder.add("session.l3_seed_clones", 1);
+/// A fresh L1I policy for one run: an offline ideal reads `future` (the
+/// index matching the run's request order), an online policy is built from
+/// the config.
+fn policy_for(cfg: &SimConfig, future: Option<&Arc<FutureIndex>>) -> Box<dyn ReplacementPolicy> {
+    match future {
+        Some(future) if cfg.policy.is_offline_ideal() => {
+            build_ideal_policy(cfg.policy, cfg.l1i, future.clone())
         }
-        ReplayFrontend::new(
-            self.layout,
-            cfg,
-            &self.table,
-            stream,
-            l3_seed.clone(),
-            l1i_policy,
-            sink,
-            &*self.recorder,
-        )
-        .run(self.trace.iter())
+        _ => build_policy(cfg),
     }
 }
 
@@ -926,7 +848,7 @@ mod tests {
 
     #[test]
     fn batched_replay_is_byte_identical_to_fresh_frontend() {
-        // An online set-local policy runs the single-pass frontend when no
+        // An online set-local policy runs the streaming pass when no
         // capture exists, and the set-batched replay once one does. Both
         // must produce identical stats and identical eviction streams.
         let (p, l, t) = small_setup();
@@ -991,8 +913,8 @@ mod tests {
     #[test]
     fn non_set_local_policies_fall_back_to_sequential_replay() {
         // DRRIP's global PSEL duel rules set-major order out; with a
-        // capture in hand (and even with shards configured) it must still
-        // match the fresh frontend pass — via the sequential replay.
+        // capture in hand (and even with shards configured) it streams,
+        // exactly as without one.
         let (p, l, t) = small_setup();
         let mut cfg = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
         cfg.replay_shards = 4;
@@ -1031,20 +953,19 @@ mod tests {
             metrics.snapshot().counter("session.l3_seed_clones"),
             Some(6)
         );
-        // The sequential replay fallback (non-set-local policy) clones
-        // exactly once per run.
+        // The streaming pass (non-set-local policy) fills its own L3 and
+        // clones no seed.
         session.run(PolicyKind::DRRIP);
         assert_eq!(
             metrics.snapshot().counter("session.l3_seed_clones"),
-            Some(7)
+            Some(6)
         );
     }
 
     #[test]
     fn shard_downgrade_is_reported_for_non_set_local_policy() {
         // DRRIP cannot shard (global PSEL duel); requesting shards must
-        // surface the downgrade as a gauge instead of silently running the
-        // sequential path.
+        // surface the downgrade as a gauge instead of silently streaming.
         let (p, l, t) = small_setup();
         let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
         let mut cfg = small_cfg();

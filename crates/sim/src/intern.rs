@@ -16,7 +16,7 @@
 //! different tables are not comparable; [`LineAddr`] remains the boundary
 //! type everywhere results leave the simulator (sinks, stats, analysis).
 
-use ripple_program::{BlockId, Layout, LineAddr, Program, CACHE_LINE_BYTES};
+use ripple_program::{BlockId, InstKind, Layout, LineAddr, Program, CACHE_LINE_BYTES};
 
 /// Dense index of a cache line within one layout's [`LineTable`].
 ///
@@ -118,8 +118,8 @@ impl LineTable {
         }
     }
 
-    /// A table interning line indexes `0..len` as themselves, for tests and
-    /// the slow-path reference (where ids must equal raw line indexes).
+    /// A table interning line indexes `0..len` as themselves, for tests
+    /// where ids must equal raw line indexes.
     pub fn identity(len: u32) -> Self {
         LineTable { first: 0, len }
     }
@@ -294,6 +294,77 @@ fn function_signature(layout: &Layout, blocks: &[BlockId]) -> u64 {
         }
     }
     h
+}
+
+/// Per-block facts every simulation pass reads at each trace step,
+/// flattened once per session so the hot loops never dereference a
+/// `Block`: instruction counts and the interned operands of injected
+/// `invalidate` instructions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BlockTable {
+    /// Original (non-injected) instruction count per block.
+    instructions: Vec<u32>,
+    /// Injected-prefix length per block.
+    injected: Vec<u32>,
+    /// Interned operand of every injected `invalidate`, in
+    /// block-id-then-prefix order; [`LineId::INVALID`] marks an operand
+    /// outside the text segment (never resident, executes as a miss).
+    inval_ids: Vec<u32>,
+    /// `num_blocks + 1` offsets into `inval_ids`.
+    inval_bounds: Vec<u32>,
+}
+
+impl BlockTable {
+    // The expect is the same > 4 Gi capacity backstop as `FetchPlan::build`.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn build(program: &Program, table: &LineTable) -> Self {
+        let n = program.num_blocks();
+        let mut instructions = Vec::with_capacity(n);
+        let mut injected = Vec::with_capacity(n);
+        let mut inval_ids = Vec::new();
+        let mut inval_bounds = Vec::with_capacity(n + 1);
+        inval_bounds.push(0u32);
+        for block in program.blocks() {
+            instructions.push(block.original_instructions().len() as u32);
+            injected.push(block.injected_prefix_len());
+            for inst in &block.instructions()[..block.injected_prefix_len() as usize] {
+                if let InstKind::Invalidate { line } = inst.kind() {
+                    inval_ids.push(
+                        table
+                            .lookup(line)
+                            .map_or(LineId::INVALID.get(), LineId::get),
+                    );
+                }
+            }
+            inval_bounds
+                .push(u32::try_from(inval_ids.len()).expect("invalidate plan exceeds u32 entries"));
+        }
+        BlockTable {
+            instructions,
+            injected,
+            inval_ids,
+            inval_bounds,
+        }
+    }
+
+    /// The original instruction count of `block`.
+    #[inline]
+    pub(crate) fn instructions(&self, block: BlockId) -> u32 {
+        self.instructions[block.index()]
+    }
+
+    /// The injected-prefix length of `block`.
+    #[inline]
+    pub(crate) fn injected(&self, block: BlockId) -> u32 {
+        self.injected[block.index()]
+    }
+
+    /// The injected-invalidate operands of `block` (raw ids).
+    #[inline]
+    pub(crate) fn inval_ops(&self, block: BlockId) -> &[u32] {
+        let i = block.index();
+        &self.inval_ids[self.inval_bounds[i] as usize..self.inval_bounds[i + 1] as usize]
+    }
 }
 
 /// Reusable per-layout interning artifacts, extracted from one session and

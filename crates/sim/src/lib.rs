@@ -15,14 +15,22 @@
 //! * the `invalidate` instruction Ripple injects (invalidate or
 //!   LRU-demote semantics);
 //! * a dense per-layout line interner ([`LineTable`] / [`LineId`]) and
-//!   precomputed block→lines [`FetchPlan`] — the fast path through the
-//!   simulator's hot loops. The pre-interning frontend is retained behind
-//!   [`LinePath::Reference`] as an equivalence oracle and perf baseline.
+//!   precomputed block→lines [`FetchPlan`] that keep the hot loops on
+//!   flat `Vec` indexing.
+//!
+//! Internally a simulation is one request generator (trace → L1I request
+//! stream: predictor, FDIP runahead, prefetch filter) and one cache walk
+//! (requests → L1I/L2/L3 under a replacement policy). A run either
+//! streams the generator straight into the walk, or — for set-local
+//! policies over a captured stream — replays the capture set-major,
+//! optionally sharded across threads; both are byte-identical. The
+//! independent oracle these paths are checked against lives in the
+//! `ripple-check` crate.
 //!
 //! Entry points: [`simulate`], [`simulate_with_sink`],
 //! [`simulate_ideal_cache`], [`baseline_and_ideal`], and — for policy
-//! matrices sharing one recording pass — [`SimSession`]. Evictions stream
-//! into an [`EvictionSink`] instead of being materialized by the engine.
+//! matrices sharing one capture — [`SimSession`]. Evictions stream into an
+//! [`EvictionSink`] instead of being materialized by the engine.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -32,21 +40,21 @@
 mod batch;
 mod bpred;
 mod cache;
+mod capture;
 mod config;
 mod engine;
-mod frontend;
+mod generator;
 mod intern;
 pub mod policy;
-mod reference;
-mod replay;
 mod sink;
 mod stats;
+mod walk;
 
 pub use bpred::{BranchPredictor, Prediction};
 pub use cache::{AccessOutcome, Cache};
+pub use capture::{StreamLimitError, MAX_STREAM_RECORDS};
 pub use config::{
-    CacheGeometry, EvictionMechanism, LinePath, PrefetcherKind, SimConfig, SimConfigBuilder,
-    SimConfigError,
+    CacheGeometry, EvictionMechanism, PrefetcherKind, SimConfig, SimConfigBuilder, SimConfigError,
 };
 pub use engine::{
     baseline_and_ideal, ideal_policy_for, simulate, simulate_ideal_cache, simulate_with_sink,
@@ -61,6 +69,5 @@ pub use policy::{
     SrripPolicy, StreamRecord, Temperature, TemperatureMap, TreePlruPolicy, TrripPolicy, WayView,
     NEVER,
 };
-pub use replay::{StreamLimitError, MAX_STREAM_RECORDS};
 pub use sink::{EvictionSink, FnSink, NullSink, VecSink};
 pub use stats::{EvictionEvent, SimStats};

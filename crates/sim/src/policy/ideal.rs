@@ -14,7 +14,6 @@ use std::sync::Arc;
 use ripple_program::LineAddr;
 
 use crate::config::CacheGeometry;
-use crate::intern::LineTable;
 use crate::policy::{AccessInfo, ReplacementPolicy, WayView};
 
 /// Position value meaning "never again".
@@ -84,51 +83,13 @@ impl FutureIndex {
         })
     }
 
-    /// [`FutureIndex::build`] over interned lines: the per-line chain heads
-    /// live in two flat arrays indexed by [`LineId`](crate::LineId) instead
-    /// of hash maps. Produces exactly the same index as `build`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream contains a line outside `table`.
-    // The panic is the documented contract for a table/stream mismatch,
-    // which `SimSession` (building both from one layout) rules out.
-    #[allow(clippy::expect_used)]
-    pub fn build_dense(stream: &[StreamRecord], table: &LineTable) -> Arc<Self> {
-        let n = stream.len();
-        assert!(n < NEVER_32 as usize, "stream exceeds u32 records");
-        let mut next_demand = vec![NEVER_32; n];
-        let mut next_prefetch = vec![NEVER_32; n];
-        let mut last_demand = vec![NEVER_32; table.len() as usize];
-        let mut last_prefetch = vec![NEVER_32; table.len() as usize];
-        for i in (0..n).rev() {
-            let r = stream[i];
-            let id = table
-                .lookup(r.line)
-                .expect("recorded lines are interned")
-                .index();
-            next_demand[i] = last_demand[id];
-            next_prefetch[i] = last_prefetch[id];
-            if r.is_prefetch {
-                last_prefetch[id] = i as u32;
-            } else {
-                last_demand[id] = i as u32;
-            }
-        }
-        Arc::new(FutureIndex {
-            next_demand,
-            next_prefetch,
-            len: n as u64,
-        })
-    }
-
-    /// [`FutureIndex::build_dense`] over a bit-packed columnar stream
+    /// [`FutureIndex::build`] over a bit-packed columnar stream
     /// (`bit 31` = prefetch, low bits = raw [`LineId`](crate::LineId)):
-    /// the records *are* already interned, so the build touches nothing
-    /// but flat arrays. Produces exactly the same index as `build` over
-    /// the equivalent [`StreamRecord`] stream.
+    /// the records are already interned, so the per-line chain heads live
+    /// in two flat arrays instead of hash maps. Produces exactly the same
+    /// index as `build` over the equivalent [`StreamRecord`] stream.
     pub(crate) fn build_packed(packed: &[u32], num_lines: u32) -> Arc<Self> {
-        use crate::replay::{LINE_MASK, PREFETCH_BIT};
+        use crate::capture::{LINE_MASK, PREFETCH_BIT};
         let n = packed.len();
         assert!(n < NEVER_32 as usize, "stream exceeds u32 records");
         let mut next_demand = vec![NEVER_32; n];
@@ -411,8 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn dense_build_matches_hash_build() {
-        let s = stream_of(&[
+    fn packed_build_matches_hash_build() {
+        let pattern = [
             (0, false),
             (2, true),
             (0, false),
@@ -420,12 +381,15 @@ mod tests {
             (4, true),
             (0, true),
             (4, false),
-        ]);
-        let table = LineTable::identity(8);
-        let hash = FutureIndex::build(&s);
-        let dense = FutureIndex::build_dense(&s, &table);
+        ];
+        let packed: Vec<u32> = pattern
+            .iter()
+            .map(|&(l, p)| l as u32 | if p { crate::capture::PREFETCH_BIT } else { 0 })
+            .collect();
+        let hash = FutureIndex::build(&stream_of(&pattern));
+        let dense = FutureIndex::build_packed(&packed, 8);
         assert_eq!(hash.len(), dense.len());
-        for i in 0..s.len() as u64 {
+        for i in 0..pattern.len() as u64 {
             assert_eq!(hash.next_demand(i), dense.next_demand(i), "demand @{i}");
             assert_eq!(
                 hash.next_prefetch(i),

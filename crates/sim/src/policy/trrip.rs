@@ -53,8 +53,9 @@ impl Temperature {
 /// temperature classes.
 ///
 /// Keys are *address-space* line indices (the line of the fetch PC), not
-/// interned cache line ids, so one map serves both simulator frontends
-/// identically. Lines absent from the map are [`Temperature::Warm`].
+/// interned cache line ids, so one map serves every layout's interning
+/// (and identity-interned models) identically. Lines absent from the map
+/// are [`Temperature::Warm`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TemperatureMap {
     by_line: std::collections::HashMap<u64, Temperature>,

@@ -231,21 +231,21 @@ pub fn gen_full_case(seed: u64) -> FullCase {
 }
 
 /// Runs `case` through the production simulator and returns its stats
-/// and full eviction stream. With `captured`, the session captures the
-/// request stream first, so set-local policies take the set-batched
-/// replay path instead of the streaming pass.
+/// and full eviction stream. With `captured = Some(shards)`, the session
+/// captures the request stream first and runs at `shards` replay shards,
+/// so the run replays the capture (set-batched for a set-local policy
+/// when `shards > 1`) instead of taking the streaming pass.
 pub fn run_path(
     case: &FullCase,
     policy: PolicyKind,
-    captured: bool,
+    captured: Option<usize>,
 ) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
-    let session = SimSession::new(
-        &case.program,
-        &case.layout,
-        &case.trace,
-        case.config.clone(),
-    );
-    if captured {
+    let mut config = case.config.clone();
+    if let Some(shards) = captured {
+        config.replay_shards = shards;
+    }
+    let session = SimSession::new(&case.program, &case.layout, &case.trace, config);
+    if captured.is_some() {
         session.ensure_recorded();
     }
     let mut sink = VecSink::new();

@@ -1,9 +1,10 @@
 //! Dimension 3: production vs reference frontend equivalence and warmup
 //! accounting.
 //!
-//! The simulator's run paths — the streaming pass and the set-batched
-//! replay of a captured stream — must be observationally identical to the
-//! checker-owned [`reference`](crate::reference) frontend: same
+//! The simulator's three drivers — the streaming pass, the in-order
+//! capture replay and the set-batched replay of a captured stream — must
+//! be observationally identical to the checker-owned
+//! [`reference`](crate::reference) frontend: same
 //! [`SimStats`] and the same byte-for-byte eviction stream, for every
 //! policy, prefetcher, eviction mechanism, injected program, and
 //! scripted-invalidation schedule.
@@ -96,15 +97,19 @@ fn divergence(
 /// The divergence test applied to one (case, policy) pair.
 fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
     let reference = run_reference(case, policy);
-    let production = run_path(case, policy, false);
+    let production = run_path(case, policy, None);
     if let Some(message) = divergence("production", policy, &production, &reference) {
         return Some(message);
     }
-    // An online set-local policy takes the set-batched replay path once
-    // the session holds a capture (oracles always do already).
-    if !policy.is_offline_ideal() && policy.replay_set_local() {
-        let captured = run_path(case, policy, true);
-        if let Some(message) = divergence("captured replay", policy, &captured, &reference) {
+    // Once the session holds a capture, every policy replays it in order;
+    // a set-local policy at more than one shard replays it set-batched.
+    let captured = run_path(case, policy, Some(1));
+    if let Some(message) = divergence("capture replay", policy, &captured, &reference) {
+        return Some(message);
+    }
+    if policy.replay_set_local() {
+        let batched = run_path(case, policy, Some(2));
+        if let Some(message) = divergence("batched replay", policy, &batched, &reference) {
             return Some(message);
         }
     }
@@ -117,7 +122,7 @@ fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
             c.config.warmup_fraction = 0.0;
             c
         };
-        let (sc, ec) = run_path(&cold, policy, false);
+        let (sc, ec) = run_path(&cold, policy, None);
         if ec != ei {
             return Some(format!(
                 "warmup changed the eviction stream under {policy:?}: {} cold vs {} warm events",
@@ -208,7 +213,7 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
 pub fn check_recorded(seed: u64) -> Result<(), (String, String)> {
     let case = gen_full_case(seed);
     let policy = pick_policy(seed);
-    let (plain_stats, plain_events) = run_path(&case, policy, false);
+    let (plain_stats, plain_events) = run_path(&case, policy, None);
     let recorder = Arc::new(MetricsRecorder::new());
     let (rec_stats, rec_events) = run_path_recorded(&case, policy, recorder.clone());
     let problem = if rec_stats != plain_stats {

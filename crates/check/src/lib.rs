@@ -11,7 +11,8 @@
 //! 2. [`belady`] — an exhaustive Belady search on short request streams
 //!    that lower-bounds (and, demand-only, pins exactly) the offline ideal
 //!    policies `Opt` and `DemandMin`;
-//! 3. [`equiv`] — the simulator's streaming and set-batched run paths vs
+//! 3. [`equiv`] — the simulator's three drivers (streaming pass, capture
+//!    replay, set-batched replay) vs
 //!    the checker-owned [`reference`](mod@reference) frontend on random
 //!    full simulations (stats *and* eviction streams), plus an
 //!    independent warmup-accounting oracle;
@@ -28,7 +29,7 @@
 //! 8. [`shards`] — replay shard-count invariance: stats and eviction
 //!    streams byte-identical at 1, 2, 4 and 7 replay shards for every
 //!    registered policy (set-local families shard, the rest must fall
-//!    back to the streaming pass unchanged);
+//!    back to in-order capture replay unchanged);
 //! 9. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
 //!    weighted profile merging must equal physically repeating each shard
 //!    `weight` times in one long trace, independent of shard order, all

@@ -4,7 +4,8 @@
 //! N replay threads must leave both the [`SimStats`] and the full
 //! eviction stream byte-identical to a single-shard run, whether the
 //! policy actually shards (the set-local families) or falls back to the
-//! streaming pass (global-state policies like DRRIP or Random). Every
+//! in-order capture replay (global-state policies like DRRIP or Random).
+//! Every
 //! registered policy is fuzzed here, so a newly registered policy's
 //! `set_local` claim is checked against its real replay behaviour on
 //! random programs, geometries, prefetchers, eviction mechanisms and
@@ -39,10 +40,9 @@ fn run_sharded(
 ) -> (SimStats, Vec<EvictionEvent>) {
     let config = case.config.clone().with_replay_shards(shards);
     let session = SimSession::new(&case.program, &case.layout, &case.trace, config);
-    // Record eagerly so online set-local policies replay the captured
-    // stream too (the dispatch only forces a capture when shards > 1;
-    // recording up front keeps the 1-shard baseline on the same replay
-    // path).
+    // Record eagerly so every run replays the one captured stream: the
+    // 1-shard baseline in order, the sharded set-local runs set-batched
+    // (the dispatch only forces a capture for those).
     session.ensure_recorded();
     let mut sink = VecSink::new();
     let stats = session.run_with_sink(policy, &mut sink);

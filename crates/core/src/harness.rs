@@ -304,14 +304,21 @@ pub fn run_jobs_observed_settled<'env, T: Send + 'env>(
 /// parallel, returning stats in `policies` order (or the first
 /// [`JobError`] if a policy run panicked).
 ///
-/// Offline-ideal policies replay the session's shared recording pass, so an
-/// entire matrix costs one recording run no matter how many ideals it
-/// contains (see [`SimSession::recording_passes`]).
+/// A matrix of more than one policy captures the session's request stream
+/// up front, so every policy replays the one capture instead of
+/// regenerating the stream: the whole matrix costs one recording pass (see
+/// [`SimSession::recording_passes`]).
 pub fn policy_matrix(
     session: &SimSession<'_>,
     policies: &[PolicyKind],
     threads: usize,
 ) -> Result<Vec<SimStats>, JobError> {
+    if policies.len() > 1 {
+        // The session caches a capture error; it resurfaces in the job of
+        // any oracle, which needs the capture, while online policies
+        // stream.
+        let _ = session.try_ensure_recorded();
+    }
     let jobs: Vec<Job<'_, SimStats>> = policies
         .iter()
         .map(|&p| -> Job<'_, SimStats> { Box::new(move || session.run(p)) })
@@ -600,6 +607,36 @@ mod tests {
                 "matrix must be shard-invariant ({shards})"
             );
             assert_eq!(session.recording_passes(), 1);
+        }
+    }
+
+    #[test]
+    fn policy_matrix_buckets_only_for_sharded_replay() {
+        // A matrix captures once and replays the capture in order; only a
+        // sharded session pays for bucketing it by set, once.
+        let app = generate(&AppSpec::tiny(9));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(9), 20_000);
+        let mut cfg = SimConfig::default();
+        cfg.l1i = ripple_sim::CacheGeometry::new(2 * 1024, 4);
+        for (shards, buckets) in [(1usize, None), (2, Some(1))] {
+            let metrics = std::sync::Arc::new(ripple_obs::MetricsRecorder::new());
+            let session = SimSession::new(
+                &app.program,
+                &layout,
+                &trace,
+                cfg.clone().with_replay_shards(shards),
+            )
+            .with_recorder(metrics.clone());
+            policy_matrix_all(&session, 2).unwrap();
+            let snap = metrics.snapshot();
+            assert_eq!(session.recording_passes(), 1, "{shards} shards");
+            assert_eq!(snap.counter("session.recording_passes"), Some(1));
+            assert_eq!(
+                snap.phase("session.bucket").map(|b| b.count),
+                buckets,
+                "bucketing passes at {shards} shards"
+            );
         }
     }
 

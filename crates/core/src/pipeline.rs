@@ -508,13 +508,15 @@ impl<'p> Ripple<'p> {
         let final_layout = rewritten.layout;
         final_layout_timer.finish(&*self.recorder, "eval.final_layout");
 
-        // The five evaluation runs are independent simulations over two
+        // The evaluation runs are independent simulations over two
         // binaries; they go through the shared harness as one job matrix.
-        // The original binary's three runs (baseline / LRU reference /
-        // ideal replacement) share one `SimSession`, so the ideal's
-        // recording pass is paid at most once. The mechanism only matters
+        // The original binary's runs (baseline / LRU reference / ideal
+        // replacement) share one `SimSession`, captured before the matrix
+        // so each replays the one capture. The mechanism only matters
         // where invalidate instructions exist, so the original binary's
-        // session can use the plain sim config for all three policies.
+        // session can use the plain sim config for all of its policies.
+        // Under an LRU underlying the LRU reference *is* the baseline run
+        // (same policy, same session), so it is not run twice.
         let threads = effective_threads(self.config.threads);
         let session = SimSession::new(
             self.program,
@@ -554,7 +556,8 @@ impl<'p> Ripple<'p> {
             Scored(SimStats, AccuracyStats),
             Logged(SimStats, Vec<EvictionEvent>),
         }
-        let jobs: Vec<Job<'_, RunOut>> = vec![
+        let lru_is_baseline = underlying == PolicyKind::LRU;
+        let mut jobs: Vec<Job<'_, RunOut>> = vec![
             Box::new(|| match prebuilt.as_ref() {
                 Some((windows, accesses)) => {
                     let mut sink = AccuracySink::new(windows, accesses);
@@ -568,7 +571,6 @@ impl<'p> Ripple<'p> {
                 }
             }),
             Box::new(|| RunOut::Stats(final_session.run(underlying))),
-            Box::new(|| RunOut::Stats(session.run(PolicyKind::LRU))),
             Box::new(|| {
                 if prebuilt.is_some() {
                     RunOut::Stats(session.run(oracle))
@@ -586,7 +588,13 @@ impl<'p> Ripple<'p> {
                 ))
             }),
         ];
+        if !lru_is_baseline {
+            jobs.push(Box::new(|| RunOut::Stats(session.run(PolicyKind::LRU))));
+        }
         let mut outs = time_phase(&*self.recorder, "eval.sim_runs", || {
+            // The oracle captures anyway; a capture error is cached by the
+            // session and resurfaces in the oracle's job.
+            let _ = session.try_ensure_recorded();
             run_jobs_observed(threads, "evaluate", &*self.recorder, jobs)
         })?
         .into_iter();
@@ -602,9 +610,13 @@ impl<'p> Ripple<'p> {
         };
         let baseline_out = next_out("baseline")?;
         let ripple_stats = plain_stats(next_out("ripple")?, "ripple")?;
-        let lru_reference = plain_stats(next_out("lru")?, "lru")?;
         let ideal_out = next_out("ideal")?;
         let ideal_cache = plain_stats(next_out("ideal-cache")?, "ideal-cache")?;
+        let lru_out = if lru_is_baseline {
+            None
+        } else {
+            Some(plain_stats(next_out("lru")?, "lru")?)
+        };
 
         // Accuracy against ideal windows (final layout when available).
         let accuracy_timer = PhaseTimer::start(&*self.recorder);
@@ -634,6 +646,7 @@ impl<'p> Ripple<'p> {
                     ))
                 }
             };
+        let lru_reference = lru_out.unwrap_or_else(|| baseline.clone());
         let ripple_accuracy = plan_accuracy(
             &final_plan,
             acc_layout,
@@ -738,6 +751,28 @@ mod tests {
         assert!(o.ideal_cache.ipc() >= o.ideal.ipc() - 1e-9);
         assert!(o.ideal_speedup_pct() >= o.speedup_pct() - 1.0);
         assert_eq!(o.ideal_cache.demand_misses, 0);
+    }
+
+    #[test]
+    fn lru_reference_is_the_lru_run_on_the_original_binary() {
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 30_000);
+        // Under an LRU underlying the baseline run doubles as the
+        // reference.
+        let lru = Ripple::train(&app.program, &layout, &trace, small_config()).unwrap();
+        let o = lru.evaluate(&trace).unwrap();
+        assert_eq!(o.lru_reference, o.baseline);
+        // Under any other underlying it is a run of its own, equal to an
+        // independent LRU simulation.
+        let mut cfg = small_config();
+        cfg.underlying = PolicyKind::RANDOM;
+        let independent =
+            SimSession::new(&app.program, &layout, &trace, cfg.sim.clone()).run(PolicyKind::LRU);
+        let random = Ripple::train(&app.program, &layout, &trace, cfg).unwrap();
+        let o = random.evaluate(&trace).unwrap();
+        assert_eq!(o.lru_reference, independent);
+        assert_ne!(o.baseline, o.lru_reference, "the baseline ran under Random");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Set-batched (and optionally sharded) replay of a captured request
 //! stream.
 //!
-//! The streaming pass walks requests in trace order, so consecutive
+//! The in-order drivers walk requests in trace order, so consecutive
 //! requests land in unrelated cache sets and every tag probe is a cold
 //! cache line. For policies whose decisions depend only on the *per-set
 //! order* of events ([`ReplacementPolicy::replay_set_local`]), trace order
@@ -10,9 +10,11 @@
 //! set's tags, the policy's per-set metadata and the (permuted) future
 //! index all stay hot.
 //!
-//! Bucketed replay is also the unit of parallelism: sets are partitioned
-//! round-robin across `config.replay_shards` worker threads, each with its
-//! own L1I, L2 and pre-warmed L3 clone. Because every L2/L3 set is touched
+//! Bucketing costs more than a handful of in-order replays save, so a
+//! session buckets only for sharded replay. Bucketed replay is the unit
+//! of parallelism: sets are partitioned round-robin across
+//! `config.replay_shards` worker threads, each with its own L1I, L2 and
+//! pre-warmed L3 clone. Because every L2/L3 set is touched
 //! by exactly one L1I set whenever the L1I set count divides the L2 and L3
 //! set counts (checked at bucketing time), each shard observes exactly the
 //! per-set access orders of the streaming pass, and the shard outputs merge
@@ -294,46 +296,34 @@ pub(crate) fn run_batched<P: ?Sized + ReplacementPolicy>(
         recorder.add("session.l3_seed_clones", shards as u64);
     }
 
-    let outcomes: Vec<ShardOutcome> = if shards == 1 {
-        vec![run_shard(
-            layout,
-            config,
-            table,
-            bucketed,
-            l3_seed,
-            make_policy(),
-            0,
-            1,
-        )]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        run_shard(
-                            layout,
-                            config,
-                            table,
-                            bucketed,
-                            l3_seed,
-                            make_policy(),
-                            shard,
-                            shards,
-                        )
-                    })
+    // The session batches only sharded runs, so every shard gets a thread.
+    let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| {
+                scope.spawn(move || {
+                    run_shard(
+                        layout,
+                        config,
+                        table,
+                        bucketed,
+                        l3_seed,
+                        make_policy(),
+                        shard,
+                        shards,
+                    )
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // A panicked shard is already a bug in the replayer;
-                    // propagating the panic is the only sound response.
-                    #[allow(clippy::expect_used)]
-                    h.join().expect("replay shard panicked")
-                })
-                .collect()
-        })
-    };
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                // A panicked shard is already a bug in the replayer;
+                // propagating the panic is the only sound response.
+                #[allow(clippy::expect_used)]
+                h.join().expect("replay shard panicked")
+            })
+            .collect()
+    });
 
     // Merge. Counters sum; the f64 stall terms and the eviction events are
     // re-ordered by record position, reproducing the streaming pass's

@@ -4,14 +4,15 @@
 //! bit-packed buffer instead of a cache walk: one `u32` per request
 //! (bit 31 = prefetch, low bits = [`LineId`]), per-trace-step bounds, the
 //! FDIP issuer of every prefetch, and the policy-independent post-warmup
-//! counters. Two consumers read it: `FutureIndex::build_packed`, for the
-//! offline-ideal policies, and [`bucket_stream`](crate::batch::bucket_stream),
-//! for set-batched replay.
+//! counters. Three consumers read it: `FutureIndex::build_packed`, for the
+//! offline-ideal policies, [`ColumnarStream::replay`], which feeds the
+//! requests back in stream order to a cache walk, and
+//! [`bucket_stream`](crate::batch::bucket_stream), for set-batched replay.
 
 use ripple_obs::Recorder;
 use ripple_program::BlockId;
 
-use crate::generator::{BaseStats, RequestGenerator, Requests};
+use crate::generator::{BaseStats, RequestGenerator, Requests, WarmupClock};
 use crate::intern::LineId;
 
 /// Bit 31 of a packed record: set when the request is a prefetch.
@@ -85,6 +86,42 @@ pub(crate) struct ColumnarStream {
     pub(crate) prefetch_pc: Vec<u32>,
     /// Policy-independent post-warmup counters.
     pub(crate) base: BaseStats,
+}
+
+impl ColumnarStream {
+    /// Capture replay: feeds the recorded requests of `trace` (the trace
+    /// this stream was captured from) to `out`, with the same calls in the
+    /// same order as the generator made, and returns the captured
+    /// policy-independent counters. Reports the `frontend.warmup` /
+    /// `frontend.measure` split at `warmup_until`, as the generator does.
+    pub(crate) fn replay<R: Requests>(
+        &self,
+        trace: impl Iterator<Item = BlockId>,
+        warmup_until: u64,
+        out: &mut R,
+        recorder: &dyn Recorder,
+    ) -> Result<BaseStats, R::Error> {
+        let mut clock = WarmupClock::start(recorder);
+        let mut pf_cursor = 0usize;
+        for ((pos, block), bounds) in (0u64..).zip(trace).zip(self.step_bounds.windows(2)) {
+            out.begin_step(pos, block);
+            for &raw in &self.packed[bounds[0] as usize..bounds[1] as usize] {
+                let id = LineId::new(raw & LINE_MASK);
+                if raw & PREFETCH_BIT == 0 {
+                    out.demand(id);
+                } else {
+                    out.prefetch(id, BlockId::new(self.prefetch_pc[pf_cursor]));
+                    pf_cursor += 1;
+                }
+            }
+            out.end_step(block)?;
+            if pos == warmup_until {
+                clock.measuring();
+            }
+        }
+        clock.finish(recorder);
+        Ok(self.base)
+    }
 }
 
 /// The capture consumer: bit-packs every generated request.

@@ -240,8 +240,8 @@ pub struct SimConfig {
     /// L1I sets across them (1 = single-threaded). Results are
     /// byte-identical for any value: sharding only applies where the
     /// policy is set-local and the geometry permits, and falls back to
-    /// the single-threaded streaming pass otherwise. A perf knob, not a
-    /// semantic one.
+    /// single-threaded in-order replay otherwise. Only a value above 1
+    /// buckets the capture by set. A perf knob, not a semantic one.
     pub replay_shards: usize,
 }
 

@@ -8,23 +8,28 @@
 //! never observe cache contents — so one generated stream is valid for
 //! every policy.
 //!
-//! A run takes one of two paths:
+//! A run takes one of three drivers, all feeding the same cache walk
+//! (or, set-major, its batched twin):
 //!
+//! * **set-batched replay** ([`batch`](crate::batch)): the captured stream,
+//!   bucketed by L1I set once per session and replayed set-major across
+//!   `replay_shards` threads;
+//! * **capture replay**: the captured stream fed back to the cache walk in
+//!   stream order ([`ColumnarStream::replay`]);
 //! * the **streaming pass**: the generator feeds the cache walk directly,
-//!   with no buffer in between;
-//! * **set-batched replay** ([`batch`](crate::batch)): a captured stream,
-//!   bucketed by L1I set once per session, replayed set-major and
-//!   optionally sharded across threads.
+//!   with no buffer in between.
 //!
-//! A run is batched when its policy is set-local, the session's shape
-//! permits bucketing, and a capture exists. Offline-ideal policies (OPT,
+//! The choice reads session state only. A run is batched when sharding was
+//! requested (`replay_shards > 1`), its policy is set-local and the
+//! session's shape permits bucketing: sharding is the only reason to
+//! bucket, since a bucketing pass costs more than a handful of in-order
+//! replays save. Otherwise the run replays the capture whenever one
+//! exists, and streams when none does. Offline-ideal policies (OPT,
 //! Demand-MIN) always capture, because their [`FutureIndex`] is built from
-//! the capture; online policies capture only when sharded replay was
-//! requested, and otherwise use a capture only if one already exists.
-//! Everything else streams — including an oracle whose
-//! geometry rules batching out, which re-streams the trace under the
-//! oracle policy (the generator is deterministic, so the walk's request
-//! index equals the capture index the future index is keyed by).
+//! the capture; a set-local policy captures for sharded replay; every
+//! other run uses a capture only if one is already in hand. Callers that
+//! know a session will run several times take the capture up front with
+//! [`SimSession::ensure_recorded`], so every later run skips the generator.
 //!
 //! [`SimSession`] shares the capture, its [`FutureIndex`] and its bucketed
 //! form across runs: a policy matrix pays for them at most once per
@@ -60,10 +65,13 @@ struct Recording {
 
 /// A reusable simulation context over one (program, layout, trace, config).
 ///
-/// The session replays any [`PolicyKind`] against the same inputs. For
-/// offline-ideal policies it captures the L1I request stream lazily, exactly
-/// once, and shares the resulting [`FutureIndex`] across runs — including
+/// The session replays any [`PolicyKind`] against the same inputs. It
+/// captures the L1I request stream lazily, at most once — on the first
+/// offline-ideal or sharded run, or on [`SimSession::ensure_recorded`] —
+/// and shares the capture and its [`FutureIndex`] across runs, including
 /// concurrent runs from multiple threads, since `&self` suffices to run.
+/// Once a capture exists every run replays it instead of regenerating the
+/// request stream (see the [module docs](self) for the driver rule).
 ///
 /// The per-run policy overrides `config.policy`; everything else in the
 /// config (geometry, prefetcher, eviction mechanism, scripted
@@ -105,8 +113,8 @@ pub struct SimSession<'a> {
     /// Per-block instruction counts and interned invalidate operands.
     blocks: BlockTable,
     recorded: OnceLock<Result<Recording, StreamLimitError>>,
-    /// The captured stream bucketed by L1I set for set-major (and sharded)
-    /// replay, built lazily on the first eligible run; `None` when the
+    /// The captured stream bucketed by L1I set for sharded replay, built
+    /// lazily on the first sharded set-local run; `None` when the
     /// session's shape rules batching out (see
     /// [`crate::batch::bucket_stream`]).
     bucketed: OnceLock<Option<BucketedStream>>,
@@ -279,24 +287,25 @@ impl<'a> SimSession<'a> {
     ) -> Result<SimStats, StreamLimitError> {
         let timer = PhaseTimer::start(&*self.recorder);
         let cfg = self.config.clone().with_policy(policy);
+        let sharded = cfg.replay_shards > 1 && policy.replay_set_local();
         // Oracles always capture: their future index is built from it.
-        // Online policies force a capture only for sharded replay, which
-        // exists only on the batched path, and otherwise use one if it is
-        // already in hand. A failed online capture streams instead, which
-        // has no u32 position limit.
+        // Sharded replay exists only on the batched path, so a sharded
+        // set-local run captures too. Every other run uses a capture if
+        // one is already in hand. A failed online capture streams
+        // instead, which has no u32 position limit.
         let recording = if policy.is_offline_ideal() {
             Some(self.recorded()?)
-        } else if cfg.replay_shards > 1 && policy.replay_set_local() {
+        } else if sharded {
             self.recorded().ok()
         } else {
             self.recorded.get().and_then(|r| r.as_ref().ok())
         };
         let batched = recording
-            .filter(|_| policy.replay_set_local())
+            .filter(|_| sharded)
             .and_then(|rec| Some((rec, self.bucketed(rec)?)));
         let mut stats = match batched {
             Some((rec, bucketed)) => self.run_batched(&cfg, rec, bucketed, sink),
-            None => self.run_streaming(&cfg, recording.map(|rec| &rec.future), sink),
+            None => self.run_in_order(&cfg, recording, sink),
         };
         if cfg.replay_shards > 1 && batched.is_none() {
             // The shard request was silently unusable for this run; say so
@@ -356,10 +365,11 @@ impl<'a> SimSession<'a> {
     }
 
     /// Forces the shared capture pass (and its [`FutureIndex`]) to run
-    /// now; it otherwise happens lazily on the first offline-ideal run.
-    /// Lets callers pay the pass up front — before spawning replay
-    /// threads, or to time recording and replay separately. Set-local
-    /// policies then take the set-batched replay path.
+    /// now; it otherwise happens lazily on the first offline-ideal or
+    /// sharded run. Lets callers pay the pass up front — before spawning
+    /// replay threads, or because the session will run more than once.
+    /// Every later run then replays the capture instead of regenerating
+    /// the request stream.
     ///
     /// # Panics
     ///
@@ -439,33 +449,37 @@ impl<'a> SimSession<'a> {
             .as_ref()
     }
 
-    /// The streaming pass: the request generator feeds the cache walk
-    /// directly. `future` is the capture's index, present for oracles.
+    /// An in-order run: capture replay when `recording` is present, the
+    /// streaming pass (the request generator feeding the cache walk
+    /// directly) otherwise. Both drive the same [`CacheWalk`].
     ///
     /// The walk pre-warms a fresh L3 rather than cloning the session's
     /// seed: the fill touches only the program's lines, while a clone
     /// copies the whole L3, which costs more for all but large programs
     /// and doubled the per-op time of many-small-session workloads such as
     /// `fleet`.
-    fn run_streaming(
+    fn run_in_order(
         &self,
         cfg: &SimConfig,
-        future: Option<&Arc<FutureIndex>>,
+        recording: Option<&Recording>,
         sink: &mut dyn EvictionSink,
     ) -> SimStats {
+        let warmup = warmup_until(self.trace.len(), cfg);
         let mut walk = CacheWalk::new(
             self.layout,
             cfg,
             &self.table,
             &self.blocks,
             prewarm_l3(self.program, &self.table, &self.plan, &self.config),
-            policy_for(cfg, future),
-            warmup_until(self.trace.len(), cfg),
+            policy_for(cfg, recording.map(|rec| &rec.future)),
+            warmup,
             sink,
         );
-        let Ok(base) = self
-            .generator(cfg)
-            .run(self.trace.iter(), &mut walk, &*self.recorder);
+        let trace = self.trace.iter();
+        let Ok(base) = match recording {
+            Some(rec) => rec.stream.replay(trace, warmup, &mut walk, &*self.recorder),
+            None => self.generator(cfg).run(trace, &mut walk, &*self.recorder),
+        };
         walk.finish(base)
     }
 
@@ -847,30 +861,57 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_is_byte_identical_to_fresh_frontend() {
-        // An online set-local policy runs the streaming pass when no
-        // capture exists, and the set-batched replay once one does. Both
-        // must produce identical stats and identical eviction streams.
+    fn streaming_capture_replay_and_batched_replay_are_byte_identical() {
+        // A fresh session streams; one holding a capture replays it in
+        // order at one shard and set-batched at several (set-local
+        // policies only; DRRIP and Random fall back to capture replay).
+        // All three drivers must produce identical stats and identical
+        // eviction streams.
         let (p, l, t) = small_setup();
         for pf in [PrefetcherKind::NextLine, PrefetcherKind::Fdip] {
             let mut cfg = small_cfg().with_prefetcher(pf);
             cfg.scripted_invalidations = Some(Arc::new(small_script(&l, &t)));
-            for kind in [PolicyKind::LRU, PolicyKind::TREE_PLRU, PolicyKind::SRRIP] {
-                let mut frontend_sink = VecSink::new();
-                let frontend = SimSession::new(&p, &l, &t, cfg.clone())
-                    .run_with_sink(kind, &mut frontend_sink);
-                let session = SimSession::new(&p, &l, &t, cfg.clone());
-                session.ensure_recorded();
-                let mut batched_sink = VecSink::new();
-                let batched = session.run_with_sink(kind, &mut batched_sink);
-                assert_eq!(frontend, batched, "{} under {}", kind.name(), pf.name());
-                assert_eq!(
-                    frontend_sink.into_events(),
-                    batched_sink.into_events(),
-                    "{} under {}: eviction streams diverge",
-                    kind.name(),
-                    pf.name()
-                );
+            for kind in [
+                PolicyKind::LRU,
+                PolicyKind::TREE_PLRU,
+                PolicyKind::SRRIP,
+                PolicyKind::DRRIP,
+                PolicyKind::RANDOM,
+            ] {
+                let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
+                let fresh = SimSession::new(&p, &l, &t, cfg.clone()).with_recorder(metrics.clone());
+                let mut sink = VecSink::new();
+                let streamed = (fresh.run_with_sink(kind, &mut sink), sink.into_events());
+                assert_eq!(fresh.recording_passes(), 0, "a fresh online run streams");
+                for shards in [1, 2, 7] {
+                    let session =
+                        SimSession::new(&p, &l, &t, cfg.clone().with_replay_shards(shards))
+                            .with_recorder(metrics.clone());
+                    session.ensure_recorded();
+                    let mut sink = VecSink::new();
+                    let replayed = (session.run_with_sink(kind, &mut sink), sink.into_events());
+                    assert_eq!(
+                        streamed.0,
+                        replayed.0,
+                        "{} under {} at {shards} shards",
+                        kind.name(),
+                        pf.name()
+                    );
+                    assert_eq!(
+                        streamed.1,
+                        replayed.1,
+                        "{} under {} at {shards} shards: eviction streams diverge",
+                        kind.name(),
+                        pf.name()
+                    );
+                }
+                // Only the sharded set-local runs bucketed (2 and 7 shards).
+                let buckets = metrics
+                    .snapshot()
+                    .phase("session.bucket")
+                    .map_or(0, |b| b.count);
+                let expected = if kind.replay_set_local() { 2 } else { 0 };
+                assert_eq!(buckets, expected, "{} under {}", kind.name(), pf.name());
             }
         }
     }
@@ -913,8 +954,8 @@ mod tests {
     #[test]
     fn non_set_local_policies_fall_back_to_sequential_replay() {
         // DRRIP's global PSEL duel rules set-major order out; with a
-        // capture in hand (and even with shards configured) it streams,
-        // exactly as without one.
+        // capture in hand (and even with shards configured) it replays the
+        // capture in order, exactly as a fresh session streams.
         let (p, l, t) = small_setup();
         let mut cfg = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
         cfg.replay_shards = 4;
@@ -953,8 +994,8 @@ mod tests {
             metrics.snapshot().counter("session.l3_seed_clones"),
             Some(6)
         );
-        // The streaming pass (non-set-local policy) fills its own L3 and
-        // clones no seed.
+        // The in-order capture replay (non-set-local policy) fills its own
+        // L3 and clones no seed.
         session.run(PolicyKind::DRRIP);
         assert_eq!(
             metrics.snapshot().counter("session.l3_seed_clones"),

@@ -11,14 +11,16 @@
 //!
 //! * the capture ([`capture`](crate::capture)) bit-packs the requests into
 //!   a [`ColumnarStream`](crate::capture::ColumnarStream) for the future
-//!   index and set-batched replay;
+//!   index, capture replay and set-batched replay;
 //! * the cache walk ([`walk`](crate::walk)) drives the L1I/L2/L3 hierarchy
 //!   with them directly, with no buffer in between (the streaming pass).
 //!
 //! The consumer is a type parameter, so each pass is monomorphized and the
 //! consumer's callbacks inline into the trace loop. The generator is
 //! deterministic, so the `k`-th request it emits is record `k` of the
-//! capture in every pass.
+//! capture in every pass, and
+//! [`ColumnarStream::replay`](crate::capture::ColumnarStream::replay) can
+//! feed the same consumer calls back from the capture.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -74,6 +76,42 @@ impl BaseStats {
             mispredictions: self.mispredictions,
             cycles: total_instr as f64 * config.base_cpi + stall_cycles,
             ..stats
+        }
+    }
+}
+
+/// The `frontend.warmup` / `frontend.measure` wall split of one in-order
+/// pass over the trace. The clock is read only when the recorder is
+/// enabled.
+pub(crate) struct WarmupClock {
+    start: Option<Instant>,
+    measure: Option<Instant>,
+}
+
+impl WarmupClock {
+    pub(crate) fn start(recorder: &dyn Recorder) -> Self {
+        WarmupClock {
+            start: recorder.enabled().then(Instant::now),
+            measure: None,
+        }
+    }
+
+    /// The first post-warmup step has executed (called once per pass).
+    #[inline]
+    pub(crate) fn measuring(&mut self) {
+        if self.start.is_some() {
+            self.measure = Some(Instant::now());
+        }
+    }
+
+    /// Reports the split; a pass that never left warmup is all warmup.
+    pub(crate) fn finish(self, recorder: &dyn Recorder) {
+        let Some(start) = self.start else { return };
+        let end = Instant::now();
+        let measured_at = self.measure.unwrap_or(end);
+        recorder.phase("frontend.warmup", (measured_at - start).as_nanos() as u64);
+        if let Some(m) = self.measure {
+            recorder.phase("frontend.measure", (end - m).as_nanos() as u64);
         }
     }
 }
@@ -159,30 +197,18 @@ impl<'a> RequestGenerator<'a> {
         recorder: &dyn Recorder,
     ) -> Result<BaseStats, R::Error> {
         self.warmup_until = warmup_until(trace.len(), self.config);
-        let timing = recorder.enabled();
-        let run_start = timing.then(Instant::now);
-        let mut measure_start: Option<Instant> = None;
+        let mut clock = WarmupClock::start(recorder);
         for block in trace {
             self.step(block, out)?;
             if self.trace_pos >= self.warmup_until {
-                if timing && self.base.blocks == 0 {
-                    measure_start = Some(Instant::now());
+                if self.base.blocks == 0 {
+                    clock.measuring();
                 }
                 self.base.blocks += 1;
             }
             self.trace_pos += 1;
         }
-        if let Some(run_start) = run_start {
-            let end = Instant::now();
-            let measured_at = measure_start.unwrap_or(end);
-            recorder.phase(
-                "frontend.warmup",
-                (measured_at - run_start).as_nanos() as u64,
-            );
-            if let Some(m) = measure_start {
-                recorder.phase("frontend.measure", (end - m).as_nanos() as u64);
-            }
-        }
+        clock.finish(recorder);
         Ok(self.base)
     }
 

@@ -1,10 +1,12 @@
 //! The cache walk: the policy-dependent half of the frontend.
 //!
-//! [`CacheWalk`] consumes the [request generator](crate::generator)'s
-//! stream directly (the streaming pass) and drives it through the L1I
-//! under the run's replacement policy, the LRU L2 and the pre-warmed LRU
-//! L3: demand hits and misses, prefetch fills, scripted and injected
-//! invalidations, the stall-based timing model, and the eviction events.
+//! [`CacheWalk`] consumes the request stream in order, straight from the
+//! [request generator](crate::generator) (the streaming pass) or from a
+//! capture ([`ColumnarStream::replay`](crate::capture::ColumnarStream::replay)),
+//! and drives it through the L1I under the run's replacement policy, the
+//! LRU L2 and the pre-warmed LRU L3: demand hits and misses, prefetch
+//! fills, scripted and injected invalidations, the stall-based timing
+//! model, and the eviction events.
 //! [`batch`](crate::batch) replays the same per-request semantics
 //! set-major over a bucketed capture and shares [`lower_levels`] with it.
 

@@ -10,7 +10,9 @@
 //! injection-plan chains and real oracle window sets and demands
 //! byte-identical results. A subset of cases additionally runs the full
 //! pipeline at 1 and 4 harness threads and demands an identical
-//! [`RippleOutcome`].
+//! [`RippleOutcome`], then evaluates three thresholds (the strictest
+//! usually with an empty plan) through one shared `EvalBaseline` and
+//! demands the outcomes of fresh per-threshold evaluations.
 //!
 //! [`RippleOutcome`]: ripple::RippleOutcome
 
@@ -200,7 +202,8 @@ fn analysis_violation(case: &RewriteCase) -> Option<String> {
 
 /// Full-pipeline probe: train once, evaluate at 1 and 4 harness threads;
 /// the outcomes (which flow through incremental relinking, columnar
-/// replay, and dense analysis) must be identical.
+/// replay, and dense analysis) must be identical. Then the shared-baseline
+/// probe runs on the same configuration.
 fn outcome_violation(case: &RewriteCase) -> Option<String> {
     let mut base = RippleConfig::default();
     base.sim.l1i = CacheGeometry::new(2 * 1024, 4);
@@ -219,8 +222,36 @@ fn outcome_violation(case: &RewriteCase) -> Option<String> {
             Err(e) => return Some(format!("evaluate failed at {threads} threads: {e}")),
         }
     }
-    (outcomes[0] != outcomes[1])
-        .then(|| "RippleOutcome differs between 1 and 4 harness threads".into())
+    if outcomes[0] != outcomes[1] {
+        return Some("RippleOutcome differs between 1 and 4 harness threads".into());
+    }
+    shared_baseline_violation(case, base)
+}
+
+/// Shared-baseline probe: three thresholds evaluated through one
+/// [`EvalBaseline`](ripple::EvalBaseline) must each equal a fresh
+/// per-threshold evaluation. The strictest, 1.0, comes first: only cues
+/// that always precede their eviction pass it, so its plan is usually
+/// empty and reaches the baseline's lazily built state first.
+fn shared_baseline_violation(case: &RewriteCase, config: RippleConfig) -> Option<String> {
+    let ripple = match Ripple::train(&case.program, &case.layout, &case.trace, config) {
+        Ok(r) => r,
+        Err(e) => return Some(format!("train failed: {e}")),
+    };
+    let baseline = match ripple.baseline(&case.trace) {
+        Ok(b) => b,
+        Err(e) => return Some(format!("baseline failed: {e}")),
+    };
+    for threshold in [1.0, case.threshold, case.threshold.min(0.3) / 2.0] {
+        let shared = ripple.evaluate_on(&baseline, threshold);
+        let fresh = ripple.evaluate_with_threshold(&case.trace, threshold);
+        if shared != fresh {
+            return Some(format!(
+                "shared-baseline outcome differs from a fresh evaluation at threshold {threshold}"
+            ));
+        }
+    }
+    None
 }
 
 /// Checks one generated case; shrinks the failing plan chain (rewrite

@@ -32,6 +32,11 @@ pub enum Error {
     /// A trace produced more cache requests than the simulator's columnar
     /// capture can index (`u32` positions), detected at record time.
     StreamLimit(StreamLimitError),
+    /// An [`EvalBaseline`] was used to evaluate a different program,
+    /// layout or sim config than it was built for; the field names which.
+    ///
+    /// [`EvalBaseline`]: crate::EvalBaseline
+    BaselineMismatch(&'static str),
     /// An internal invariant broke (always a bug; the message says which).
     Internal(String),
 }
@@ -46,6 +51,9 @@ impl std::fmt::Display for Error {
             Error::Job(e) => write!(f, "{e}"),
             Error::Json(e) => write!(f, "{e}"),
             Error::StreamLimit(e) => write!(f, "trace too large to simulate: {e}"),
+            Error::BaselineMismatch(what) => {
+                write!(f, "evaluation baseline was built for a different {what}")
+            }
             Error::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
         }
     }
@@ -58,7 +66,7 @@ impl std::error::Error for Error {
             Error::Reconstruct(e) => Some(e),
             Error::Program(e) => Some(e),
             Error::Config(e) => Some(e),
-            Error::Job(_) | Error::Internal(_) => None,
+            Error::Job(_) | Error::BaselineMismatch(_) | Error::Internal(_) => None,
             Error::Json(e) => Some(e),
             Error::StreamLimit(e) => Some(e),
         }

@@ -54,6 +54,7 @@
 #![warn(missing_debug_implementations)]
 
 mod analysis;
+mod baseline;
 mod error;
 mod harness;
 mod metrics;
@@ -66,6 +67,7 @@ pub use analysis::{
     analyze, analyze_windows, analyze_windows_reference, Analysis, AnalysisConfig, CoverageStats,
     CueCandidate, CueSelection, EvictionWindow, WindowChoice, WindowSink,
 };
+pub use baseline::EvalBaseline;
 pub use error::{ConfigError, Error, JobError};
 pub use harness::{
     effective_threads, policy_matrix, policy_matrix_all, run_jobs, run_jobs_observed,

@@ -217,6 +217,9 @@ pub fn invalidation_accuracy(
     }
 
     let mut stats = AccuracyStats::default();
+    if victims.is_empty() {
+        return stats;
+    }
     for (pos, block) in trace.iter().enumerate() {
         let Some(lines) = victims.get(&block) else {
             continue;

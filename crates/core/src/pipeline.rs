@@ -10,18 +10,16 @@ use ripple_program::{
     Program,
 };
 use ripple_sim::{
-    simulate_ideal_cache, EvictionEvent, EvictionMechanism, PlanCache, PolicyKind, PrefetcherKind,
-    SimConfig, SimSession, SimStats, VecSink,
+    ideal_policy_for, EvictionMechanism, PlanCache, PolicyKind, SimConfig, SimSession, SimStats,
 };
 use ripple_trace::BbTrace;
 
-use crate::analysis::{
-    analyze, analyze_windows, Analysis, AnalysisConfig, CoverageStats, WindowSink,
-};
+use crate::analysis::{analyze_windows, Analysis, AnalysisConfig, CoverageStats, WindowSink};
+use crate::baseline::EvalBaseline;
 use crate::error::{ConfigError, Error};
-use crate::harness::{effective_threads, run_jobs_observed, Job};
+use crate::harness::{run_jobs_observed, Job};
 use crate::metrics::{
-    eviction_accuracy, plan_accuracy, AccuracySink, AccuracyStats, LineAccessIndex, WindowIndex,
+    eviction_accuracy, plan_accuracy, AccuracyStats, LineAccessIndex, WindowIndex,
 };
 
 /// Configuration of one Ripple run.
@@ -119,11 +117,7 @@ impl RippleConfig {
     /// prefetch-aware Demand-MIN whenever a prefetcher is active, plain
     /// Belady-OPT otherwise (§II-C).
     pub fn oracle(&self) -> PolicyKind {
-        if self.sim.prefetcher == PrefetcherKind::None {
-            PolicyKind::OPT
-        } else {
-            PolicyKind::DEMAND_MIN
-        }
+        ideal_policy_for(self.sim.prefetcher)
     }
 
     /// The oracle driving Ripple's *eviction analysis*: always Belady-OPT
@@ -390,47 +384,195 @@ impl<'p> Ripple<'p> {
         self.evaluate_with_threshold(eval_trace, self.config.threshold)
     }
 
-    /// [`Ripple::evaluate`] at an explicit threshold (used by sweeps).
-    ///
-    /// The flow mirrors the paper's link-time deployment: the training
-    /// analysis places invalidate *slots* (which cue blocks, how many);
-    /// relinking fixes the final layout; a second analysis pass against
-    /// that final layout assigns the victim operands (the binary's
-    /// addresses are only meaningful once the layout is final).
+    /// [`Ripple::evaluate`] at an explicit threshold: builds an
+    /// [`EvalBaseline`] on `eval_trace`, then runs [`Ripple::evaluate_on`].
+    /// To evaluate several thresholds, build the baseline once with
+    /// [`Ripple::baseline`] and call `evaluate_on` per threshold instead.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] for a non-finite or out-of-range
-    /// `threshold` and [`Error::Job`] when an evaluation job panicked (the
-    /// harness isolates the panic; sibling runs still complete).
+    /// `threshold` (before any simulation work) and [`Error::Job`] when an
+    /// evaluation job panicked (the harness isolates the panic; sibling
+    /// runs still complete).
     pub fn evaluate_with_threshold(
         &self,
         eval_trace: &BbTrace,
         threshold: f64,
     ) -> Result<RippleOutcome, Error> {
         check_threshold(threshold)?;
+        self.evaluate_on(&self.baseline(eval_trace)?, threshold)
+    }
+
+    /// Measures the original binary on `eval_trace` once (see
+    /// [`EvalBaseline`]), with this optimizer's sim config, thread count
+    /// and recorder.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Job`] when a baseline run panicked.
+    pub fn baseline<'a>(&self, eval_trace: &'a BbTrace) -> Result<EvalBaseline<'a>, Error>
+    where
+        'p: 'a,
+    {
+        EvalBaseline::new(
+            self.program,
+            self.layout,
+            eval_trace,
+            self.config.sim.clone(),
+            self.config.threads,
+            self.recorder.clone(),
+        )
+    }
+
+    /// Evaluates the plan at `threshold` against a shared `baseline`: only
+    /// the threshold-dependent work runs here.
+    ///
+    /// The flow mirrors the paper's link-time deployment: the training
+    /// analysis places invalidate *slots* (which cue blocks, how many);
+    /// relinking fixes the final layout; a second analysis pass against
+    /// that final layout assigns the victim operands (the binary's
+    /// addresses are only meaningful once the layout is final). The
+    /// rewritten binary then runs under the underlying policy, and the
+    /// baseline's eviction log is scored against the final layout's ideal
+    /// windows.
+    ///
+    /// An empty plan relinks to the very binary the baseline measured, so
+    /// it skips the relink and the rewritten run: its Ripple run *is* the
+    /// baseline run, with zero overheads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] for a non-finite or out-of-range
+    /// `threshold`, [`Error::BaselineMismatch`] when `baseline` was built
+    /// for a different program, layout or sim config, and [`Error::Job`]
+    /// when an evaluation job panicked.
+    pub fn evaluate_on(
+        &self,
+        baseline: &EvalBaseline<'_>,
+        threshold: f64,
+    ) -> Result<RippleOutcome, Error> {
+        check_threshold(threshold)?;
+        baseline.check_built_for(self.program, self.layout, &self.config.sim)?;
+        let eval_trace = baseline.trace();
+        let base = baseline.run(self.config.underlying)?;
         let (mut plan, mut coverage) = time_phase(&*self.recorder, "eval.plan", || {
             self.analysis.plan_for_threshold(threshold)
         });
 
-        // Layout fixpoint iteration: victims are expressed as layout-
-        // independent `CodeLoc`s, so a plan derived against one layout can
-        // be re-applied to the pristine program. Each round relinks with
-        // the current plan, re-runs the oracle on that layout, and derives
-        // the next plan; by the last round the plan's own layout is (very
-        // nearly) the layout it was derived against, and the residual is
-        // closed by patching operands in place.
         let final_layout_timer = PhaseTimer::start(&*self.recorder);
+        let relinked = if plan.is_empty() && baseline.pristine() {
+            None
+        } else {
+            Some(self.relink(eval_trace, threshold, &mut plan))
+        };
+        final_layout_timer.finish(&*self.recorder, "eval.final_layout");
+        if let Some(Relinked {
+            final_round: Some(round),
+            ..
+        }) = &relinked
+        {
+            coverage = round.coverage;
+        }
+
+        let ripple_stats = match &relinked {
+            None => base.stats.clone(),
+            Some(relinked) => {
+                let mut under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
+                under_cfg.eviction_mechanism = self.config.mechanism;
+                let session = SimSession::new_cached(
+                    &relinked.program,
+                    &relinked.layout,
+                    eval_trace,
+                    under_cfg,
+                    relinked.plan_cache.as_ref(),
+                )
+                .with_recorder(self.recorder.clone());
+                let underlying = self.config.underlying;
+                let job: Job<'_, SimStats> = Box::new(|| session.run(underlying));
+                time_phase(&*self.recorder, "eval.sim_runs", || {
+                    run_jobs_observed(1, "evaluate", &*self.recorder, vec![job])
+                })?
+                .pop()
+                .ok_or_else(|| Error::Internal("missing ripple job output".to_string()))?
+            }
+        };
+
+        // Accuracy against ideal windows: the final layout's when the
+        // final-layout analysis ran, the original layout's otherwise.
+        let accuracy_timer = PhaseTimer::start(&*self.recorder);
+        let (ripple_accuracy, underlying_accuracy) = match &relinked {
+            Some(Relinked {
+                layout,
+                final_round: Some(round),
+                ..
+            }) => {
+                let windows = WindowIndex::build(round.analysis.windows());
+                let accesses = LineAccessIndex::build(layout, eval_trace);
+                (
+                    plan_accuracy(&round.plan, layout, eval_trace, &windows, &accesses),
+                    eviction_accuracy(&base.log, &windows, &accesses),
+                )
+            }
+            _ => {
+                let scoring = baseline.original_scoring();
+                (
+                    plan_accuracy(
+                        &plan,
+                        self.layout,
+                        eval_trace,
+                        &scoring.windows,
+                        &scoring.accesses,
+                    ),
+                    baseline.original_accuracy(base),
+                )
+            }
+        };
+        accuracy_timer.finish(&*self.recorder, "eval.accuracy");
+
+        let static_orig = self.program.static_instruction_count();
+        let static_overhead_pct = plan.len() as f64 / static_orig as f64 * 100.0;
+        let dyn_orig = ripple_stats.instructions;
+        let dynamic_overhead_pct = if dyn_orig == 0 {
+            0.0
+        } else {
+            ripple_stats.invalidate_instructions as f64 / dyn_orig as f64 * 100.0
+        };
+
+        Ok(RippleOutcome {
+            coverage,
+            injected_static: plan.len(),
+            baseline: base.stats.clone(),
+            ripple: ripple_stats,
+            ideal: baseline.ideal().clone(),
+            ideal_cache: baseline.ideal_cache().clone(),
+            lru_reference: baseline.lru().clone(),
+            ripple_accuracy,
+            underlying_accuracy,
+            static_overhead_pct,
+            dynamic_overhead_pct,
+        })
+    }
+
+    /// Applies `plan` and relinks. With the final-layout analysis enabled
+    /// and a non-empty plan, this is a layout fixpoint iteration: victims
+    /// are expressed as layout-independent `CodeLoc`s, so a plan derived
+    /// against one layout can be re-applied to the pristine program. Each
+    /// round relinks with the current plan, re-runs the oracle on that
+    /// layout, and derives the next plan; by the last round the plan's own
+    /// layout is (very nearly) the layout it was derived against, and the
+    /// residual is closed by patching operands in place. `plan` ends as
+    /// the slot plan the binary was linked with.
+    fn relink(&self, eval_trace: &BbTrace, threshold: f64, plan: &mut InjectionPlan) -> Relinked {
         let rounds = if self.config.final_layout_analysis && !plan.is_empty() {
             2
         } else {
             0
         };
         let mut rewritten = time_phase(&*self.recorder, "eval.relink", || {
-            rewrite(self.program, self.layout, &plan)
+            rewrite(self.program, self.layout, plan)
         });
-        let mut eval_analysis_opt = None;
-        let mut final_plan = plan.clone();
+        let mut final_round = None;
         // Per-function line lists survive relinking for every function the
         // round didn't dirty; the cache from each round's session seeds the
         // next round's (and the final evaluation's) fetch-plan splice.
@@ -470,9 +612,9 @@ impl<'p> Ripple<'p> {
                 // prefixes changed, splicing the rest of the old layout.
                 let (plan_i, _) = analysis_i.plan_for_threshold(threshold);
                 rewritten = time_phase(&*self.recorder, "eval.relink", || {
-                    rewrite_incremental(self.program, self.layout, &plan_i, &plan, rewritten)
+                    rewrite_incremental(self.program, self.layout, &plan_i, plan, rewritten)
                 });
-                plan = plan_i;
+                *plan = plan_i;
                 continue;
             }
             // Final round: the layout is frozen; select cues *subject to*
@@ -500,185 +642,37 @@ impl<'p> Ripple<'p> {
                 .gauge("eval.slots_reserved", plan.len() as f64);
             self.recorder
                 .gauge("eval.slots_assigned", plan_i.len() as f64);
-            coverage = coverage_i;
-            final_plan = plan_i;
-            eval_analysis_opt = Some(analysis_i);
-        }
-        let final_program = rewritten.program;
-        let final_layout = rewritten.layout;
-        final_layout_timer.finish(&*self.recorder, "eval.final_layout");
-
-        // The evaluation runs are independent simulations over two
-        // binaries; they go through the shared harness as one job matrix.
-        // The original binary's runs (baseline / LRU reference / ideal
-        // replacement) share one `SimSession`, captured before the matrix
-        // so each replays the one capture. The mechanism only matters
-        // where invalidate instructions exist, so the original binary's
-        // session can use the plain sim config for all of its policies.
-        // Under an LRU underlying the LRU reference *is* the baseline run
-        // (same policy, same session), so it is not run twice.
-        let threads = effective_threads(self.config.threads);
-        let session = SimSession::new(
-            self.program,
-            self.layout,
-            eval_trace,
-            self.config.sim.clone(),
-        )
-        .with_recorder(self.recorder.clone());
-        let mut under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
-        under_cfg.eviction_mechanism = self.config.mechanism;
-        let final_session = SimSession::new_cached(
-            &final_program,
-            &final_layout,
-            eval_trace,
-            under_cfg,
-            plan_cache.as_ref(),
-        )
-        .with_recorder(self.recorder.clone());
-        let underlying = self.config.underlying;
-        let oracle = self.config.oracle();
-
-        // When the final-layout analysis ran, the ideal windows and access
-        // index exist before the runs, so the baseline's eviction accuracy
-        // is scored online by an `AccuracySink` and no log is materialized.
-        // Otherwise the ideal run must produce the windows first, so the
-        // baseline and ideal logs are collected and scored afterwards.
-        let prebuilt: Option<(WindowIndex, LineAccessIndex)> =
-            eval_analysis_opt.as_ref().map(|a| {
-                (
-                    WindowIndex::build(a.windows()),
-                    LineAccessIndex::build(&final_layout, eval_trace),
-                )
+            final_round = Some(FinalRound {
+                analysis: analysis_i,
+                plan: plan_i,
+                coverage: coverage_i,
             });
-
-        enum RunOut {
-            Stats(SimStats),
-            Scored(SimStats, AccuracyStats),
-            Logged(SimStats, Vec<EvictionEvent>),
         }
-        let lru_is_baseline = underlying == PolicyKind::LRU;
-        let mut jobs: Vec<Job<'_, RunOut>> = vec![
-            Box::new(|| match prebuilt.as_ref() {
-                Some((windows, accesses)) => {
-                    let mut sink = AccuracySink::new(windows, accesses);
-                    let stats = session.run_with_sink(underlying, &mut sink);
-                    RunOut::Scored(stats, sink.into_stats())
-                }
-                None => {
-                    let mut sink = VecSink::new();
-                    let stats = session.run_with_sink(underlying, &mut sink);
-                    RunOut::Logged(stats, sink.into_events())
-                }
-            }),
-            Box::new(|| RunOut::Stats(final_session.run(underlying))),
-            Box::new(|| {
-                if prebuilt.is_some() {
-                    RunOut::Stats(session.run(oracle))
-                } else {
-                    let mut sink = VecSink::new();
-                    let stats = session.run_with_sink(oracle, &mut sink);
-                    RunOut::Logged(stats, sink.into_events())
-                }
-            }),
-            Box::new(|| {
-                RunOut::Stats(simulate_ideal_cache(
-                    self.program,
-                    eval_trace,
-                    &self.config.sim,
-                ))
-            }),
-        ];
-        if !lru_is_baseline {
-            jobs.push(Box::new(|| RunOut::Stats(session.run(PolicyKind::LRU))));
+        Relinked {
+            program: rewritten.program,
+            layout: rewritten.layout,
+            plan_cache,
+            final_round,
         }
-        let mut outs = time_phase(&*self.recorder, "eval.sim_runs", || {
-            // The oracle captures anyway; a capture error is cached by the
-            // session and resurfaces in the oracle's job.
-            let _ = session.try_ensure_recorded();
-            run_jobs_observed(threads, "evaluate", &*self.recorder, jobs)
-        })?
-        .into_iter();
-        let mut next_out = |name: &str| {
-            outs.next()
-                .ok_or_else(|| Error::Internal(format!("missing {name} job output")))
-        };
-        let plain_stats = |out: RunOut, name: &str| match out {
-            RunOut::Stats(s) => Ok(s),
-            _ => Err(Error::Internal(format!(
-                "{name} job returned a sink output"
-            ))),
-        };
-        let baseline_out = next_out("baseline")?;
-        let ripple_stats = plain_stats(next_out("ripple")?, "ripple")?;
-        let ideal_out = next_out("ideal")?;
-        let ideal_cache = plain_stats(next_out("ideal-cache")?, "ideal-cache")?;
-        let lru_out = if lru_is_baseline {
-            None
-        } else {
-            Some(plain_stats(next_out("lru")?, "lru")?)
-        };
-
-        // Accuracy against ideal windows (final layout when available).
-        let accuracy_timer = PhaseTimer::start(&*self.recorder);
-        let (baseline, ideal, eval_windows, accesses, acc_layout, underlying_accuracy) =
-            match (prebuilt, baseline_out, ideal_out) {
-                (
-                    Some((windows, accesses)),
-                    RunOut::Scored(baseline, acc),
-                    RunOut::Stats(ideal),
-                ) => (baseline, ideal, windows, accesses, &final_layout, acc),
-                (None, RunOut::Logged(baseline, base_log), RunOut::Logged(ideal, ideal_log)) => {
-                    let eval_analysis = analyze(
-                        self.program,
-                        self.layout,
-                        eval_trace,
-                        &ideal_log,
-                        &self.config.analysis,
-                    );
-                    let windows = WindowIndex::build(eval_analysis.windows());
-                    let accesses = LineAccessIndex::build(self.layout, eval_trace);
-                    let acc = eviction_accuracy(&base_log, &windows, &accesses);
-                    (baseline, ideal, windows, accesses, self.layout, acc)
-                }
-                _ => {
-                    return Err(Error::Internal(
-                        "job output shape diverged from the prebuilt-index path".to_string(),
-                    ))
-                }
-            };
-        let lru_reference = lru_out.unwrap_or_else(|| baseline.clone());
-        let ripple_accuracy = plan_accuracy(
-            &final_plan,
-            acc_layout,
-            eval_trace,
-            &eval_windows,
-            &accesses,
-        );
-        accuracy_timer.finish(&*self.recorder, "eval.accuracy");
-
-        let static_orig = self.program.static_instruction_count();
-        let static_overhead_pct = plan.len() as f64 / static_orig as f64 * 100.0;
-        let dyn_orig = ripple_stats.instructions;
-        let dynamic_overhead_pct = if dyn_orig == 0 {
-            0.0
-        } else {
-            ripple_stats.invalidate_instructions as f64 / dyn_orig as f64 * 100.0
-        };
-
-        Ok(RippleOutcome {
-            coverage,
-            injected_static: plan.len(),
-            baseline,
-            ripple: ripple_stats,
-            ideal,
-            ideal_cache,
-            lru_reference,
-            ripple_accuracy,
-            underlying_accuracy,
-            static_overhead_pct,
-            dynamic_overhead_pct,
-        })
     }
+}
+
+/// A relinked binary and what the layout fixpoint learned about it.
+struct Relinked {
+    program: Program,
+    layout: Layout,
+    /// The fixpoint's fetch-plan cache, to seed the final binary's session.
+    plan_cache: Option<PlanCache>,
+    /// The final-layout analysis round (`None` when it did not run).
+    final_round: Option<FinalRound>,
+}
+
+/// The final-layout analysis: its windows, the plan patched into the
+/// binary, and that plan's coverage.
+struct FinalRound {
+    analysis: Analysis,
+    plan: InjectionPlan,
+    coverage: CoverageStats,
 }
 
 /// An explicit sweep threshold must be a finite probability.
@@ -701,6 +695,7 @@ fn check_threshold(threshold: f64) -> Result<(), Error> {
 mod tests {
     use super::*;
     use ripple_program::LayoutConfig;
+    use ripple_sim::PrefetcherKind;
     use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
     fn small_config() -> RippleConfig {
@@ -773,6 +768,96 @@ mod tests {
         let o = random.evaluate(&trace).unwrap();
         assert_eq!(o.lru_reference, independent);
         assert_ne!(o.baseline, o.lru_reference, "the baseline ran under Random");
+    }
+
+    #[test]
+    fn a_shared_baseline_gives_the_outcomes_of_fresh_evaluations() {
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 30_000);
+        // No cue of this app always precedes its eviction, so the plan at
+        // 1.0 is empty (asserted below).
+        let thresholds = [0.1, 0.3, 1.0];
+        for underlying in [PolicyKind::LRU, PolicyKind::RANDOM] {
+            for prefetcher in [PrefetcherKind::None, PrefetcherKind::Fdip] {
+                let mut cfg = small_config();
+                cfg.underlying = underlying;
+                cfg.sim.prefetcher = prefetcher;
+                let ripple = Ripple::train(&app.program, &layout, &trace, cfg).unwrap();
+                let baseline = ripple.baseline(&trace).unwrap();
+                // Evaluate in reverse, so the empty plan is the first to
+                // reach the baseline's lazily built state.
+                let mut injected = Vec::new();
+                for &t in thresholds.iter().rev() {
+                    let shared = ripple.evaluate_on(&baseline, t).unwrap();
+                    let fresh = ripple.evaluate_with_threshold(&trace, t).unwrap();
+                    assert_eq!(shared, fresh, "{underlying:?}/{prefetcher:?} at {t}");
+                    injected.push(shared.injected_static);
+                }
+                assert!(injected.contains(&0), "no empty plan: {injected:?}");
+                assert!(injected.iter().any(|&n| n > 0), "no plan: {injected:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_plan_runs_the_baseline_binary() {
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 30_000);
+        let mut cfg = small_config();
+        cfg.underlying = PolicyKind::RANDOM;
+        let ripple = Ripple::train(&app.program, &layout, &trace, cfg.clone()).unwrap();
+        let o = ripple.evaluate_with_threshold(&trace, 1.0).unwrap();
+        assert_eq!(o.injected_static, 0);
+        assert_eq!(o.ripple, o.baseline);
+        assert_eq!(o.static_overhead_pct, 0.0);
+        assert_eq!(o.dynamic_overhead_pct, 0.0);
+        // The baseline is the original binary under the underlying policy.
+        let independent =
+            SimSession::new(&app.program, &layout, &trace, cfg.sim).run(PolicyKind::RANDOM);
+        assert_eq!(o.baseline, independent);
+    }
+
+    #[test]
+    fn evaluate_on_rejects_a_baseline_built_for_something_else() {
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 10_000);
+        let ripple = Ripple::train(&app.program, &layout, &trace, small_config()).unwrap();
+        let baseline_for = |sim: SimConfig| {
+            EvalBaseline::new(
+                &app.program,
+                &layout,
+                &trace,
+                sim,
+                Some(1),
+                Arc::new(NullRecorder),
+            )
+            .unwrap()
+        };
+        let matching = baseline_for(small_config().sim);
+        assert!(ripple.evaluate_on(&matching, 0.1).is_ok());
+        let other_sim = baseline_for(SimConfig::default());
+        assert_eq!(
+            ripple.evaluate_on(&other_sim, 0.1),
+            Err(Error::BaselineMismatch("sim config"))
+        );
+        let other = generate(&AppSpec::tiny(22));
+        let other_layout = Layout::new(&other.program, &LayoutConfig::default());
+        let other_trace = execute(
+            &other.program,
+            &other.model,
+            InputConfig::training(22),
+            10_000,
+        );
+        let foreign = ripple.baseline(&trace).unwrap();
+        let other_ripple =
+            Ripple::train(&other.program, &other_layout, &other_trace, small_config()).unwrap();
+        assert_eq!(
+            other_ripple.evaluate_on(&foreign, 0.1),
+            Err(Error::BaselineMismatch("program"))
+        );
     }
 
     #[test]

@@ -23,13 +23,19 @@ pub struct ThresholdPoint {
 /// Sweeps the invalidation threshold over `thresholds`, evaluating each
 /// against `eval_trace` (Fig. 6's curve).
 ///
-/// Thresholds are independent, so they run as parallel harness jobs (the
-/// worker count follows the trained config's `threads`); the returned
-/// points are in `thresholds` order, bit-identical to a sequential sweep.
+/// The original binary's runs do not depend on the threshold, so the sweep
+/// measures them once as an [`EvalBaseline`](crate::EvalBaseline) and
+/// every threshold shares it through [`Ripple::evaluate_on`]; a threshold
+/// whose plan is empty costs no relink and no simulation. Thresholds are
+/// independent, so they run as parallel harness jobs (the worker count
+/// follows the trained config's `threads`); the returned points are in
+/// `thresholds` order, bit-identical to a sequential sweep and to
+/// per-threshold [`Ripple::evaluate_with_threshold`] calls.
 ///
 /// # Errors
 ///
-/// The first point that fails to evaluate — an invalid threshold
+/// A failed baseline run aborts the sweep before any threshold runs. After
+/// that, the first point that fails to evaluate — an invalid threshold
 /// ([`Error::Config`]) or an isolated job panic ([`Error::Job`]) — aborts
 /// the sweep's result (the remaining jobs still run to completion).
 pub fn sweep(
@@ -37,12 +43,17 @@ pub fn sweep(
     eval_trace: &BbTrace,
     thresholds: &[f64],
 ) -> Result<Vec<ThresholdPoint>, Error> {
+    if thresholds.is_empty() {
+        return Ok(Vec::new());
+    }
     let threads = effective_threads(ripple.config().threads);
+    let baseline = ripple.baseline(eval_trace)?;
+    let baseline = &baseline;
     let jobs: Vec<Job<'_, Result<ThresholdPoint, Error>>> = thresholds
         .iter()
         .map(|&t| -> Job<'_, Result<ThresholdPoint, Error>> {
             Box::new(move || {
-                let outcome = ripple.evaluate_with_threshold(eval_trace, t)?;
+                let outcome = ripple.evaluate_on(baseline, t)?;
                 Ok(ThresholdPoint {
                     threshold: t,
                     coverage: outcome.coverage.coverage(),

@@ -2,21 +2,23 @@
 //!
 //! Grid points are independent, so they run as parallel harness jobs
 //! under the requested `--threads` count; each point is internally
-//! sequential (its policy matrix and Ripple evaluations run on one
-//! worker). Results come back in grid-expansion order regardless of
-//! scheduling, and every figure is a pure function of the declaration —
-//! the emitted report is byte-identical at any thread count.
+//! sequential (its baseline, policy matrix and Ripple evaluations run on
+//! one worker). A point measures the original binary once, as an
+//! [`EvalBaseline`], and every threshold of every underlying shares it.
+//! Each point reports into the lab's recorder. Results come back in
+//! grid-expansion order regardless of scheduling, and every figure is a
+//! pure function of the declaration — the emitted report is
+//! byte-identical at any thread count.
 
 use std::sync::Arc;
 
-use ripple::{effective_threads, policy_matrix, profile_temperatures, Ripple, RippleConfig};
+use ripple::{
+    effective_threads, policy_matrix, profile_temperatures, EvalBaseline, Ripple, RippleConfig,
+};
 use ripple_json::Value;
 use ripple_obs::{time_phase, NullRecorder, Recorder};
 use ripple_program::{Layout, LayoutConfig};
-use ripple_sim::{
-    simulate_ideal_cache, PolicyKind, PrefetcherKind, SimConfig, SimSession, SimStats,
-    TemperatureMap,
-};
+use ripple_sim::{PrefetcherKind, SimConfig, SimSession, SimStats, TemperatureMap};
 use ripple_trace::{
     reconstruct_trace, reconstruct_trace_lossy, record_trace_with_sync, BbTrace, DecodeOptions,
     TraceHealth,
@@ -258,48 +260,56 @@ fn run_point(
     resolved: &ResolvedExperiment,
     point: &GridPoint,
     loaded: &LoadedApp,
+    recorder: &Arc<dyn Recorder>,
 ) -> Result<PointOutcome, LabError> {
     let variant = loaded.variant(point.fault);
     let program = &loaded.app.program;
     let layout = &loaded.layout;
     let trace = &variant.trace;
+    let app = point.app.name();
     if trace.blocks().is_empty() {
         return Err(LabError::Run(format!(
-            "{}: {} trace decoded to zero blocks",
-            point.app.name(),
+            "{app}: {} trace decoded to zero blocks",
             point.fault.name()
         )));
     }
 
     let mut base_cfg: SimConfig = point.profile.sim_config().with_prefetcher(point.prefetcher);
     base_cfg.replay_shards = point.replay_shards;
+
+    // The original binary's LRU, ideal-replacement and ideal-cache runs
+    // are measured once, and every Ripple evaluation of the point shares
+    // them. The point itself is one harness job, so they run sequentially.
+    let baseline = EvalBaseline::new(
+        program,
+        layout,
+        trace,
+        base_cfg.clone(),
+        Some(1),
+        recorder.clone(),
+    )
+    .map_err(|e| LabError::Run(format!("{app}: baseline: {e}")))?;
+    let lru = baseline.lru();
+
     // Line temperatures are profiled once per point: hint-driven policies
     // (TRRIP) consume them, everything else ignores the map. Ripple
     // pipelines run without the map, matching the bench path.
-    let mut matrix_cfg = base_cfg.clone();
-    matrix_cfg.temperatures = Some(variant.temperatures.clone());
-
-    let ideal_kind = if point.prefetcher == PrefetcherKind::None {
-        PolicyKind::OPT
+    let policies = if resolved.policies.is_empty() {
+        Vec::new()
     } else {
-        PolicyKind::DEMAND_MIN
+        let mut matrix_cfg = base_cfg.clone();
+        matrix_cfg.temperatures = Some(variant.temperatures.clone());
+        let session =
+            SimSession::new(program, layout, trace, matrix_cfg).with_recorder(recorder.clone());
+        let results = policy_matrix(&session, &resolved.policies, 1)
+            .map_err(|e| LabError::Run(format!("{app}: policy matrix: {e}")))?;
+        resolved
+            .policies
+            .iter()
+            .zip(&results)
+            .map(|(kind, stats)| (kind.name().to_string(), PointRow::from_stats(stats, lru)))
+            .collect()
     };
-    let mut matrix = vec![PolicyKind::LRU];
-    matrix.extend(&resolved.policies);
-    matrix.push(ideal_kind);
-    let session = SimSession::new(program, layout, trace, matrix_cfg.clone());
-    // The point itself is one harness job; its matrix runs sequentially.
-    let results = policy_matrix(&session, &matrix, 1)
-        .map_err(|e| LabError::Run(format!("{}: policy matrix: {e}", point.app.name())))?;
-    let lru = &results[0];
-    let policies = resolved
-        .policies
-        .iter()
-        .zip(&results[1..])
-        .map(|(kind, stats)| (kind.name().to_string(), PointRow::from_stats(stats, lru)))
-        .collect();
-    let ideal = results.last().map(|s| PointRow::from_stats(s, lru));
-    let ideal_cache = simulate_ideal_cache(program, trace, &matrix_cfg);
 
     let mut ripple_rows = Vec::new();
     for &underlying in &resolved.ripple_underlying {
@@ -309,20 +319,15 @@ fn run_point(
             threads: Some(1),
             ..RippleConfig::default()
         };
-        let ripple = Ripple::train(program, layout, trace, config)
-            .map_err(|e| LabError::Run(format!("{}: train: {e}", point.app.name())))?;
+        let ripple = Ripple::train_with_recorder(program, layout, trace, config, recorder.clone())
+            .map_err(|e| LabError::Run(format!("{app}: train: {e}")))?;
         let mut best_at = 0usize;
         let mut best_speedup = f64::NEG_INFINITY;
         let group_start = ripple_rows.len();
         for (i, &threshold) in resolved.thresholds.iter().enumerate() {
-            let o = ripple
-                .evaluate_with_threshold(trace, threshold)
-                .map_err(|e| {
-                    LabError::Run(format!(
-                        "{}: evaluate at threshold {threshold}: {e}",
-                        point.app.name()
-                    ))
-                })?;
+            let o = ripple.evaluate_on(&baseline, threshold).map_err(|e| {
+                LabError::Run(format!("{app}: evaluate at threshold {threshold}: {e}"))
+            })?;
             // Tuning rule: highest pipeline speedup wins, first listed
             // threshold wins ties (a sequential scan's behaviour).
             if o.speedup_pct() > best_speedup {
@@ -349,8 +354,8 @@ fn run_point(
     Ok(PointOutcome {
         lru: PointRow::from_stats(lru, lru),
         policies,
-        ideal: ideal.unwrap_or_else(|| PointRow::from_stats(lru, lru)),
-        ideal_cache: PointRow::from_stats(&ideal_cache, lru),
+        ideal: PointRow::from_stats(baseline.ideal(), lru),
+        ideal_cache: PointRow::from_stats(baseline.ideal_cache(), lru),
         ripple: ripple_rows,
         compulsory_mpki: lru.compulsory_mpki(),
         trace_health: variant.health,
@@ -414,7 +419,7 @@ pub fn run_experiment(
                         .iter()
                         .position(|&a| a == point.app)
                         .unwrap_or(0);
-                    run_point(resolved, point, &loaded[index])
+                    run_point(resolved, point, &loaded[index], &options.recorder)
                 })
             })
             .collect();

@@ -78,3 +78,84 @@ fn recorder_observes_every_lab_phase_without_changing_the_report() {
         );
     }
 }
+
+/// One point (cassandra, FDIP, Ripple-Random at three thresholds) run with
+/// a metrics recorder.
+fn observed_single_point() -> (ripple_obs::MetricsSnapshot, ripple_lab::LabRun) {
+    let resolved = ripple_lab::Experiment::parse(
+        r#"{
+            "name": "one-point",
+            "instructions": 30000,
+            "profiles": ["paper"],
+            "apps": ["cassandra"],
+            "prefetchers": ["fdip"],
+            "policies": ["srrip"],
+            "ripple_underlying": ["random"],
+            "thresholds": [0.45, 0.55, 0.65]
+        }"#,
+    )
+    .unwrap()
+    .resolve()
+    .unwrap();
+    assert_eq!(resolved.num_points(), 1);
+    let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
+    let options = LabOptions {
+        threads: Some(1),
+        recorder: metrics.clone(),
+        ..LabOptions::default()
+    };
+    let run = run_experiment(&resolved, &options).unwrap();
+    let plain = run_experiment(&resolved, &LabOptions::default()).unwrap();
+    assert_eq!(
+        run.report.to_pretty_string(),
+        plain.report.to_pretty_string(),
+        "recorders observe, never change outcomes"
+    );
+    (metrics.snapshot(), run)
+}
+
+#[test]
+fn a_point_reports_its_pipeline_phases_into_the_lab_recorder() {
+    let (snapshot, _) = observed_single_point();
+    for phase in [
+        "train.oracle_replay",
+        "eval.plan",
+        "eval.sim_runs",
+        "eval.accuracy",
+        "session.run",
+    ] {
+        assert!(snapshot.phase(phase).is_some(), "phase {phase} missing");
+    }
+}
+
+#[test]
+fn a_point_measures_the_original_binary_once_for_all_thresholds() {
+    let (snapshot, run) = observed_single_point();
+    assert_eq!(run.outcomes[0].ripple.len(), 3);
+    let runs_of = |policy: &str| {
+        snapshot
+            .events_named("session.run")
+            .filter(|e| e.field("policy").and_then(|v| v.as_str()) == Some(policy))
+            .count()
+    };
+    // Neither the declared policies nor Ripple-Random's rewritten binaries
+    // run LRU or Demand-MIN, so these are the baseline's own runs.
+    assert_eq!(runs_of("lru"), 1, "one LRU run");
+    assert_eq!(runs_of("demand-min"), 1, "one oracle run");
+    // The baseline's job matrix (LRU, oracle, ideal cache) ran once; the
+    // Random baseline was replayed once, as a batch of its own.
+    let baseline_batches: Vec<u64> = snapshot
+        .events_named("harness.batch")
+        .filter(|e| e.field("scope").and_then(|v| v.as_str()) == Some("baseline"))
+        .filter_map(|e| e.field("jobs").and_then(|v| v.as_u64()))
+        .collect();
+    assert_eq!(baseline_batches, vec![3, 1], "one ideal-cache run");
+    // Every other Random run is a rewritten binary's, one per non-empty
+    // plan.
+    let rewritten_runs = snapshot
+        .events_named("harness.batch")
+        .filter(|e| e.field("scope").and_then(|v| v.as_str()) == Some("evaluate"))
+        .count();
+    assert!(rewritten_runs <= 3);
+    assert_eq!(runs_of("random"), 1 + rewritten_runs);
+}

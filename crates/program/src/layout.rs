@@ -63,6 +63,9 @@ pub struct Layout {
     /// locations expressed against original instructions can be resolved).
     block_prefix: Vec<u32>,
     end: Addr,
+    /// Block indices in ascending address order, ties in layout order.
+    /// Built by the constructors so that address lookups never sort.
+    by_addr: Vec<u32>,
 }
 
 impl Layout {
@@ -75,6 +78,7 @@ impl Layout {
         let mut block_addr = vec![Addr::new(0); program.num_blocks()];
         let mut block_size = vec![0u32; program.num_blocks()];
         let mut block_prefix = vec![0u32; program.num_blocks()];
+        let mut visited = Vec::with_capacity(program.num_blocks());
         let mut cursor = config.base_addr;
         for func in program.functions() {
             cursor = cursor.align_up(config.function_align);
@@ -84,11 +88,13 @@ impl Layout {
                 block_addr[bid.index()] = cursor;
                 block_size[bid.index()] = size;
                 block_prefix[bid.index()] = block.injected_prefix_bytes();
+                visited.push(bid.index() as u32);
                 cursor = cursor.wrapping_add(u64::from(size));
             }
         }
         Layout {
             config: *config,
+            by_addr: address_order(&block_addr, visited),
             block_addr,
             block_size,
             block_prefix,
@@ -115,6 +121,7 @@ impl Layout {
         let mut block_addr = prev.block_addr.clone();
         let mut block_size = prev.block_size.clone();
         let mut block_prefix = prev.block_prefix.clone();
+        let mut visited = Vec::with_capacity(block_addr.len());
         let mut cursor = prev.config.base_addr;
         for func in program.functions() {
             cursor = cursor.align_up(prev.config.function_align);
@@ -122,6 +129,7 @@ impl Layout {
             let (Some(&first), Some(&last)) = (blocks.first(), blocks.last()) else {
                 continue;
             };
+            visited.extend(blocks.iter().map(|b| b.index() as u32));
             if dirty(func.id()) {
                 for &bid in blocks {
                     let block = program.block(bid);
@@ -146,6 +154,7 @@ impl Layout {
         }
         Layout {
             config: prev.config,
+            by_addr: address_order(&block_addr, visited),
             block_addr,
             block_size,
             block_prefix,
@@ -200,11 +209,10 @@ impl Layout {
     pub fn footprint_lines(&self) -> u64 {
         let mut count = 0u64;
         let mut last: Option<LineAddr> = None;
-        // Blocks are laid out in ascending address order, so a linear scan
-        // with dedup against the previous line suffices.
-        let mut order: Vec<usize> = (0..self.block_addr.len()).collect();
-        order.sort_by_key(|&i| self.block_addr[i]);
-        for i in order {
+        // A scan in address order with dedup against the previous line
+        // suffices.
+        for &i in &self.by_addr {
+            let i = i as usize;
             for line in lines_spanning(self.block_addr[i], u64::from(self.block_size[i])) {
                 if last != Some(line) {
                     count += 1;
@@ -258,12 +266,13 @@ impl Layout {
     /// Bytes within an injected prefix report offset 0 of the same block.
     pub fn loc_of_addr(&self, addr: Addr) -> Option<CodeLoc> {
         // Binary search over blocks sorted by address.
-        let order = self.sorted_order();
-        let pos = order.partition_point(|&i| self.block_addr[i] <= addr);
+        let pos = self
+            .by_addr
+            .partition_point(|&i| self.block_addr[i as usize] <= addr);
         if pos == 0 {
             return None;
         }
-        let i = order[pos - 1];
+        let i = self.by_addr[pos - 1] as usize;
         let start = self.block_addr[i];
         let size = u64::from(self.block_size[i]);
         if addr.get() >= start.get() + size {
@@ -274,12 +283,23 @@ impl Layout {
         let offset = raw_off.saturating_sub(prefix) as u32;
         Some(CodeLoc::new(BlockId::new(i as u32), offset))
     }
+}
 
-    fn sorted_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.block_addr.len()).collect();
-        order.sort_by_key(|&i| self.block_addr[i]);
-        order
+/// Block indices in ascending address order, from the order a constructor
+/// `visited` them in. The layout cursor only grows, so that order is
+/// already sorted unless the text segment wrapped the address space or a
+/// block belongs to no function; only then does this sort.
+fn address_order(block_addr: &[Addr], visited: Vec<u32>) -> Vec<u32> {
+    let sorted = visited.len() == block_addr.len()
+        && visited
+            .windows(2)
+            .all(|w| block_addr[w[0] as usize] <= block_addr[w[1] as usize]);
+    if sorted {
+        return visited;
     }
+    let mut order: Vec<u32> = (0..block_addr.len() as u32).collect();
+    order.sort_by_key(|&i| block_addr[i as usize]);
+    order
 }
 
 #[cfg(test)]

@@ -2,9 +2,53 @@
 
 use proptest::prelude::*;
 use ripple_program::{
-    lines_spanning, rewrite, Addr, BlockId, CodeKind, CodeLoc, Injection, InjectionPlan,
-    Instruction, Layout, LayoutConfig, LineMapper, Program, ProgramBuilder, CACHE_LINE_BYTES,
+    lines_spanning, rewrite, rewrite_incremental, Addr, BlockId, CodeKind, CodeLoc, Injection,
+    InjectionPlan, Instruction, Layout, LayoutConfig, LineMapper, Program, ProgramBuilder,
+    CACHE_LINE_BYTES,
 };
+
+/// A plan injecting at `picks` (cue, victim) block indices, reduced modulo
+/// the program's block count.
+fn plan_of(program: &Program, picks: &[(usize, usize)]) -> InjectionPlan {
+    let n = program.num_blocks();
+    let mut plan = InjectionPlan::new();
+    for &(cue_raw, victim_raw) in picks {
+        plan.push(Injection {
+            cue: BlockId::new((cue_raw % n) as u32),
+            victim: CodeLoc::new(BlockId::new((victim_raw % n) as u32), 0),
+        });
+    }
+    plan
+}
+
+/// The reference lookup: the block whose bytes contain `addr`, found by
+/// scanning every block, with the offset into its original bytes.
+fn loc_of_addr_by_scan(layout: &Layout, num_blocks: usize, addr: Addr) -> Option<CodeLoc> {
+    (0..num_blocks as u32).map(BlockId::new).find_map(|b| {
+        let start = layout.block_addr(b).get();
+        let end = layout.block_end(b).get();
+        (start..end).contains(&addr.get()).then(|| {
+            let prefix = layout.addr_of(CodeLoc::new(b, 0)).get() - start;
+            let offset = (addr.get() - start).saturating_sub(prefix);
+            CodeLoc::new(b, offset as u32)
+        })
+    })
+}
+
+/// Checks `loc_of_addr` against the scan at every byte of the text segment
+/// and one past each end.
+fn assert_loc_of_addr_matches_scan(layout: &Layout, num_blocks: usize) {
+    let first = layout.block_addr(BlockId::new(0)).get().saturating_sub(1);
+    for a in first..=layout.end().get() {
+        let addr = Addr::new(a);
+        prop_assert_eq!(
+            layout.loc_of_addr(addr),
+            loc_of_addr_by_scan(layout, num_blocks, addr),
+            "address {:#x}",
+            a
+        );
+    }
+}
 
 /// Strategy: a linear program of 1..=12 functions, each with 1..=8 blocks
 /// of 1..=10 instructions with random sizes.
@@ -80,6 +124,38 @@ proptest! {
         }
     }
 
+    /// `loc_of_addr`'s binary search agrees with a linear scan over every
+    /// block, on the original layout, a rewritten one, and one relinked
+    /// incrementally from it. (The builder rejects empty blocks, so no
+    /// layout has zero-size blocks.)
+    #[test]
+    fn loc_of_addr_matches_a_linear_scan(
+        program in arb_program(),
+        first in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+        second in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+    ) {
+        let n = program.num_blocks();
+        let layout = Layout::new(&program, &LayoutConfig::default());
+        assert_loc_of_addr_matches_scan(&layout, n);
+        let first = plan_of(&program, &first);
+        let rewritten = rewrite(&program, &layout, &first);
+        assert_loc_of_addr_matches_scan(&rewritten.layout, n);
+        let second = plan_of(&program, &second);
+        let relinked = rewrite_incremental(&program, &layout, &second, &first, rewritten);
+        assert_loc_of_addr_matches_scan(&relinked.layout, n);
+    }
+
+    /// Rewriting with an empty plan gives back the same program and the
+    /// same layout, on programs of any shape: the pipeline relies on this
+    /// to skip relinking empty plans.
+    #[test]
+    fn rewrite_of_an_empty_plan_is_the_identity(program in arb_program()) {
+        let layout = Layout::new(&program, &LayoutConfig::default());
+        let rw = rewrite(&program, &layout, &InjectionPlan::new());
+        prop_assert!(rw.program == program);
+        prop_assert!(rw.layout == layout);
+    }
+
     /// The static footprint in lines matches the code-byte count within
     /// one line per block boundary (padding can add at most that).
     #[test]
@@ -101,16 +177,7 @@ proptest! {
         picks in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
     ) {
         let layout = Layout::new(&program, &LayoutConfig::default());
-        let n = program.num_blocks();
-        let mut plan = InjectionPlan::new();
-        for (cue_raw, victim_raw) in picks {
-            let cue = BlockId::new((cue_raw % n) as u32);
-            let victim_block = BlockId::new((victim_raw % n) as u32);
-            plan.push(Injection {
-                cue,
-                victim: CodeLoc::new(victim_block, 0),
-            });
-        }
+        let plan = plan_of(&program, &picks);
         let rw = rewrite(&program, &layout, &plan);
         prop_assert!(rw.program.validate().is_ok());
         prop_assert_eq!(rw.program.injected_instruction_count(), plan.len() as u64);

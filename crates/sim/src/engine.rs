@@ -359,7 +359,8 @@ impl<'a> SimSession<'a> {
     }
 
     /// How many capture passes this session has performed (0 before any
-    /// oracle run, never more than 1 after).
+    /// oracle run, never more than 1 after unless
+    /// [`SimSession::release_capture`] dropped the capture).
     pub fn recording_passes(&self) -> u32 {
         self.recording_passes.load(Ordering::Acquire)
     }
@@ -389,6 +390,15 @@ impl<'a> SimSession<'a> {
     /// more cache requests than the capture's `u32` positions can index.
     pub fn try_ensure_recorded(&self) -> Result<(), StreamLimitError> {
         self.recorded().map(|_| ())
+    }
+
+    /// Drops the captured request stream, its future index and any
+    /// bucketed copy, freeing their memory. Later runs stream, or capture
+    /// again if they need a capture; their results are unchanged.
+    pub fn release_capture(&mut self) {
+        self.recorded = OnceLock::new();
+        self.bucketed = OnceLock::new();
+        self.l3_seed = OnceLock::new();
     }
 
     /// A fresh request generator over this session's trace inputs.

@@ -3,7 +3,8 @@
 //! link-time, i.e. final-layout; this quantifies why that matters.
 
 use ripple::{Ripple, RippleConfig};
-use ripple_bench::{bench_budget, load_app};
+use ripple_bench::{bench_budget, load_app, sim_config};
+use ripple_sim::PrefetcherKind;
 use ripple_workloads::App;
 
 fn main() {
@@ -17,8 +18,11 @@ fn main() {
         let loaded = load_app(app, budget);
         let mut speeds = Vec::new();
         for final_layout in [true, false] {
-            let mut config = RippleConfig::default();
-            config.final_layout_analysis = final_layout;
+            let config = RippleConfig {
+                sim: sim_config(PrefetcherKind::None),
+                final_layout_analysis: final_layout,
+                ..RippleConfig::default()
+            };
             let ripple = Ripple::train(&loaded.app.program, &loaded.layout, &loaded.trace, config)
                 .expect("train");
             speeds.push(

@@ -3,7 +3,7 @@
 //! demote nudges Ripple-LRU from 1.6 % to 1.7 % mean speedup.
 
 use ripple::{Ripple, RippleConfig};
-use ripple_bench::{bench_budget, load_app};
+use ripple_bench::{bench_budget, load_app, sim_config};
 use ripple_sim::{EvictionMechanism, PrefetcherKind};
 use ripple_workloads::App;
 
@@ -22,9 +22,11 @@ fn main() {
             EvictionMechanism::Demote,
             EvictionMechanism::NoOp,
         ] {
-            let mut config = RippleConfig::default();
-            config.sim.prefetcher = PrefetcherKind::None;
-            config.mechanism = mech;
+            let config = RippleConfig {
+                sim: sim_config(PrefetcherKind::None),
+                mechanism: mech,
+                ..RippleConfig::default()
+            };
             let ripple = Ripple::train(&loaded.app.program, &loaded.layout, &loaded.trace, config)
                 .expect("train");
             speeds.push(

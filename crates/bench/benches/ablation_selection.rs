@@ -3,7 +3,8 @@
 //! Fig. 5b argmax.
 
 use ripple::{CueSelection, Ripple, RippleConfig};
-use ripple_bench::{bench_budget, load_app};
+use ripple_bench::{bench_budget, load_app, sim_config};
+use ripple_sim::PrefetcherKind;
 use ripple_workloads::App;
 
 fn main() {
@@ -20,7 +21,10 @@ fn main() {
             CueSelection::HighestProbability,
             CueSelection::LatestEligible,
         ] {
-            let mut config = RippleConfig::default();
+            let mut config = RippleConfig {
+                sim: sim_config(PrefetcherKind::None),
+                ..RippleConfig::default()
+            };
             config.analysis.cue_selection = sel;
             let ripple = Ripple::train(&loaded.app.program, &loaded.layout, &loaded.trace, config)
                 .expect("train");

@@ -3,7 +3,7 @@
 //! (paper: 17 % more IPC gain with matched profiles). FDIP baseline.
 
 use ripple::{collect_profile, Ripple, RippleConfig};
-use ripple_bench::bench_budget;
+use ripple_bench::{bench_budget, sim_config};
 use ripple_program::{Layout, LayoutConfig};
 use ripple_sim::PrefetcherKind;
 use ripple_workloads::{generate, App, InputConfig};
@@ -22,8 +22,10 @@ fn main() {
         let spec = app.spec();
         let generated = generate(&spec);
         let layout = Layout::new(&generated.program, &LayoutConfig::default());
-        let mut config = RippleConfig::default();
-        config.sim.prefetcher = PrefetcherKind::Fdip;
+        let config = RippleConfig {
+            sim: sim_config(PrefetcherKind::Fdip),
+            ..RippleConfig::default()
+        };
         let train = collect_profile(
             &generated,
             &layout,

@@ -5,8 +5,8 @@
 //! the remainder of the Demand-MIN gain.
 
 use ripple::{effective_threads, policy_matrix};
-use ripple_bench::{bench_budget, load_app, print_paper_check};
-use ripple_sim::{PolicyKind, PrefetcherKind, SimConfig, SimSession};
+use ripple_bench::{bench_budget, load_app, print_paper_check, sim_config};
+use ripple_sim::{PolicyKind, PrefetcherKind, SimSession};
 use ripple_workloads::App;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     let mut opt_sum = 0.0;
     for app in App::ALL {
         let loaded = load_app(app, budget);
-        let cfg = SimConfig::default().with_prefetcher(PrefetcherKind::Fdip);
+        let cfg = sim_config(PrefetcherKind::Fdip);
         // One session: OPT and Demand-MIN replay the same recorded stream.
         let session = SimSession::new(&loaded.app.program, &loaded.layout, &loaded.trace, cfg);
         let results = policy_matrix(

@@ -1,30 +1,16 @@
-//! Experiment harness for regenerating every table and figure of the
-//! Ripple paper.
+//! Shared helpers for the benches that regenerate the Ripple paper's
+//! tables and figures: the bench budget and target profile, application
+//! loading for the hand-rolled benches, and the output format of figure
+//! series and paper-vs-measured check lines.
 //!
-//! All figure benches share one *evaluation grid*: for each of the nine
-//! applications and each prefetcher (none / NLP / FDIP), the grid holds
-//! the stats of every replacement policy, the ideal bounds, and the
-//! Ripple-LRU / Ripple-Random pipelines. Computing the grid is expensive,
-//! so it is cached on disk (`target/ripple_grid_<budget>.json`) and reused
-//! across bench targets; delete the file (or change
-//! `RIPPLE_BENCH_INSTRS`) to recompute.
+//! The evaluation-grid figures (Figs. 1, 2, 7–12 and §II-D) come from one
+//! lab run in the `paper_grid` bench; the other figure benches wrap their
+//! own lab declaration or run a small loop of their own.
 
-use std::collections::BTreeMap;
-use std::fs;
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use ripple::{
-    collect_profile, effective_threads, policy_matrix, profile_temperatures, sweep, Ripple,
-    RippleConfig,
-};
-use ripple_json::{object, FromJson, JsonError, ToJson, Value};
+use ripple::collect_profile;
 use ripple_lab::TargetProfile;
 use ripple_program::{Layout, LayoutConfig};
-use ripple_sim::{
-    simulate_ideal_cache, PolicyKind, PolicyRegistry, PrefetcherKind, SimConfig, SimSession,
-    SimStats,
-};
+use ripple_sim::{PrefetcherKind, SimConfig};
 use ripple_trace::BbTrace;
 use ripple_workloads::{generate, App, Application, InputConfig};
 
@@ -50,236 +36,6 @@ pub fn bench_profile() -> &'static TargetProfile {
                 .join(" ")
         )
     })
-}
-
-/// Candidate invalidation thresholds for per-app tuning (§III-C: the
-/// paper's winners lie in 0.45..=0.65).
-pub const TUNE_THRESHOLDS: [f64; 3] = [0.45, 0.55, 0.65];
-
-/// One policy's headline numbers relative to the LRU baseline.
-#[derive(Debug, Clone)]
-pub struct PolicyRow {
-    /// Speedup over LRU, percent.
-    pub speedup_pct: f64,
-    /// Demand-miss MPKI.
-    pub mpki: f64,
-    /// Miss reduction over LRU, percent.
-    pub miss_reduction_pct: f64,
-    /// Absolute demand misses.
-    pub demand_misses: u64,
-}
-
-impl PolicyRow {
-    fn from_stats(stats: &SimStats, baseline: &SimStats) -> Self {
-        PolicyRow {
-            speedup_pct: stats.speedup_pct_over(baseline),
-            mpki: stats.mpki(),
-            miss_reduction_pct: stats.miss_reduction_pct_over(baseline),
-            demand_misses: stats.demand_misses,
-        }
-    }
-}
-
-/// A Ripple pipeline's numbers.
-#[derive(Debug, Clone)]
-pub struct RippleRow {
-    /// Headline numbers vs the LRU baseline.
-    pub row: PolicyRow,
-    /// Replacement coverage (Fig. 9), 0..=1.
-    pub coverage: f64,
-    /// Replacement accuracy (Fig. 10), 0..=1.
-    pub accuracy: f64,
-    /// Underlying hardware policy's own accuracy.
-    pub underlying_accuracy: f64,
-    /// Static instruction overhead, percent (Fig. 11).
-    pub static_overhead_pct: f64,
-    /// Dynamic instruction overhead, percent (Fig. 12).
-    pub dynamic_overhead_pct: f64,
-    /// The tuned invalidation threshold used.
-    pub threshold: f64,
-}
-
-/// Everything measured for one (application, prefetcher) cell.
-#[derive(Debug, Clone)]
-pub struct AppCell {
-    /// Application name.
-    pub app: String,
-    /// Prefetcher name.
-    pub prefetcher: String,
-    /// LRU baseline (speedup 0 by construction).
-    pub lru: PolicyRow,
-    /// Prior replacement policies, keyed by registered name (see
-    /// [`prior_policies`]).
-    pub policies: BTreeMap<String, PolicyRow>,
-    /// Prefetch-aware ideal replacement (Demand-MIN; OPT when no
-    /// prefetcher).
-    pub ideal: PolicyRow,
-    /// Ideal cache (no misses at all).
-    pub ideal_cache: PolicyRow,
-    /// Ripple over an underlying LRU.
-    pub ripple_lru: RippleRow,
-    /// Ripple over an underlying Random policy.
-    pub ripple_random: RippleRow,
-    /// Compulsory MPKI (§II-D).
-    pub compulsory_mpki: f64,
-}
-
-/// The whole evaluation grid.
-#[derive(Debug, Clone)]
-pub struct Grid {
-    /// Instruction budget the grid was computed with.
-    pub budget: u64,
-    /// Cache-geometry fingerprint of the target profile the grid was
-    /// measured on (see [`TargetProfile::fingerprint`]). A cached grid
-    /// from a different geometry holds figures for a different machine
-    /// and must never be reused.
-    pub geometry: String,
-    /// One cell per (app, prefetcher).
-    pub cells: Vec<AppCell>,
-}
-
-impl Grid {
-    /// The cell for `app` under `prefetcher`.
-    pub fn cell(&self, app: App, prefetcher: PrefetcherKind) -> &AppCell {
-        self.cells
-            .iter()
-            .find(|c| c.app == app.name() && c.prefetcher == prefetcher.name())
-            .expect("grid contains every (app, prefetcher) cell")
-    }
-
-    /// Mean of `f` over the nine applications for one prefetcher.
-    pub fn mean<F: Fn(&AppCell) -> f64>(&self, prefetcher: PrefetcherKind, f: F) -> f64 {
-        let vals: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|c| c.prefetcher == prefetcher.name())
-            .map(f)
-            .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
-    }
-}
-
-impl ToJson for PolicyRow {
-    fn to_json(&self) -> Value {
-        object([
-            ("speedup_pct", self.speedup_pct.to_json()),
-            ("mpki", self.mpki.to_json()),
-            ("miss_reduction_pct", self.miss_reduction_pct.to_json()),
-            ("demand_misses", self.demand_misses.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PolicyRow {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(PolicyRow {
-            speedup_pct: v.get("speedup_pct")?.as_f64()?,
-            mpki: v.get("mpki")?.as_f64()?,
-            miss_reduction_pct: v.get("miss_reduction_pct")?.as_f64()?,
-            demand_misses: v.get("demand_misses")?.as_u64()?,
-        })
-    }
-}
-
-impl ToJson for RippleRow {
-    fn to_json(&self) -> Value {
-        object([
-            ("row", self.row.to_json()),
-            ("coverage", self.coverage.to_json()),
-            ("accuracy", self.accuracy.to_json()),
-            ("underlying_accuracy", self.underlying_accuracy.to_json()),
-            ("static_overhead_pct", self.static_overhead_pct.to_json()),
-            ("dynamic_overhead_pct", self.dynamic_overhead_pct.to_json()),
-            ("threshold", self.threshold.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RippleRow {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(RippleRow {
-            row: PolicyRow::from_json(v.get("row")?)?,
-            coverage: v.get("coverage")?.as_f64()?,
-            accuracy: v.get("accuracy")?.as_f64()?,
-            underlying_accuracy: v.get("underlying_accuracy")?.as_f64()?,
-            static_overhead_pct: v.get("static_overhead_pct")?.as_f64()?,
-            dynamic_overhead_pct: v.get("dynamic_overhead_pct")?.as_f64()?,
-            threshold: v.get("threshold")?.as_f64()?,
-        })
-    }
-}
-
-impl ToJson for AppCell {
-    fn to_json(&self) -> Value {
-        let policies = Value::Object(
-            self.policies
-                .iter()
-                .map(|(name, row)| (name.clone(), row.to_json()))
-                .collect(),
-        );
-        object([
-            ("app", self.app.to_json()),
-            ("prefetcher", self.prefetcher.to_json()),
-            ("lru", self.lru.to_json()),
-            ("policies", policies),
-            ("ideal", self.ideal.to_json()),
-            ("ideal_cache", self.ideal_cache.to_json()),
-            ("ripple_lru", self.ripple_lru.to_json()),
-            ("ripple_random", self.ripple_random.to_json()),
-            ("compulsory_mpki", self.compulsory_mpki.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AppCell {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let mut policies = BTreeMap::new();
-        match v.get("policies")? {
-            Value::Object(entries) => {
-                for (name, row) in entries {
-                    policies.insert(name.clone(), PolicyRow::from_json(row)?);
-                }
-            }
-            other => {
-                return Err(JsonError::new(format!(
-                    "policies: expected object, got {other:?}"
-                )))
-            }
-        }
-        Ok(AppCell {
-            app: String::from_json(v.get("app")?)?,
-            prefetcher: String::from_json(v.get("prefetcher")?)?,
-            lru: PolicyRow::from_json(v.get("lru")?)?,
-            policies,
-            ideal: PolicyRow::from_json(v.get("ideal")?)?,
-            ideal_cache: PolicyRow::from_json(v.get("ideal_cache")?)?,
-            ripple_lru: RippleRow::from_json(v.get("ripple_lru")?)?,
-            ripple_random: RippleRow::from_json(v.get("ripple_random")?)?,
-            compulsory_mpki: v.get("compulsory_mpki")?.as_f64()?,
-        })
-    }
-}
-
-impl ToJson for Grid {
-    fn to_json(&self) -> Value {
-        object([
-            ("budget", self.budget.to_json()),
-            ("geometry", self.geometry.to_json()),
-            ("cells", self.cells.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Grid {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        // A cache written before the geometry field existed fails here,
-        // which correctly falls through to a recompute.
-        Ok(Grid {
-            budget: v.get("budget")?.as_u64()?,
-            geometry: String::from_json(v.get("geometry")?)?,
-            cells: Vec::<AppCell>::from_json(v.get("cells")?)?,
-        })
-    }
 }
 
 /// A loaded application with its profiled trace.
@@ -310,202 +66,9 @@ pub fn load_app(app: App, budget: u64) -> LoadedApp {
     }
 }
 
-fn sim_config(prefetcher: PrefetcherKind) -> SimConfig {
+/// The bench profile's [`SimConfig`] under `prefetcher`.
+pub fn sim_config(prefetcher: PrefetcherKind) -> SimConfig {
     bench_profile().sim_config().with_prefetcher(prefetcher)
-}
-
-/// The prior policies compared in Figs. 3, 7 and 8: every registered
-/// online policy except the LRU baseline, in registration order. The
-/// offline ideals are excluded here because they need the session's
-/// recorded [`FutureIndex`](ripple_sim::FutureIndex) and are reported
-/// separately as the cell's ideal bound. A newly registered online policy
-/// (e.g. TRRIP) lands in every figure with zero bench edits.
-pub fn prior_policies() -> Vec<PolicyKind> {
-    PolicyRegistry::global()
-        .online()
-        .filter(|&p| p != PolicyKind::LRU)
-        .collect()
-}
-
-/// Computes one grid cell. `threshold` is the app's tuned invalidation
-/// threshold (shared across prefetchers, like the paper's per-app tuning).
-///
-/// The policy runs (LRU, every registered prior, the ideal) share one
-/// [`SimSession`] and run as parallel harness jobs; the cell's contents are
-/// bit-identical at any worker count.
-pub fn compute_cell(loaded: &LoadedApp, prefetcher: PrefetcherKind, threshold: f64) -> AppCell {
-    let program = &loaded.app.program;
-    let layout = &loaded.layout;
-    let trace = &loaded.trace;
-    let mut cfg = sim_config(prefetcher);
-    // Line temperatures profiled once per cell: hint-driven policies
-    // (TRRIP) consume them, everything else ignores the map.
-    cfg.temperatures = Some(Arc::new(profile_temperatures(layout, trace)));
-    let threads = effective_threads(None);
-
-    let ideal_kind = if prefetcher == PrefetcherKind::None {
-        PolicyKind::OPT
-    } else {
-        PolicyKind::DEMAND_MIN
-    };
-    let priors = prior_policies();
-    let mut matrix = vec![PolicyKind::LRU];
-    matrix.extend(&priors);
-    matrix.push(ideal_kind);
-    let session = SimSession::new(program, layout, trace, cfg.clone());
-    let results = policy_matrix(&session, &matrix, threads).expect("policy matrix jobs");
-    let lru = &results[0];
-    let mut policies = BTreeMap::new();
-    for (kind, r) in priors.iter().zip(&results[1..]) {
-        policies.insert(kind.name().to_string(), PolicyRow::from_stats(r, lru));
-    }
-    let ideal = results.last().expect("matrix is non-empty");
-    let ideal_cache = simulate_ideal_cache(program, trace, &cfg);
-
-    let ripple_lru = run_ripple(loaded, prefetcher, PolicyKind::LRU, threshold, lru);
-    let ripple_random = run_ripple(loaded, prefetcher, PolicyKind::RANDOM, threshold, lru);
-
-    AppCell {
-        app: loaded.app.name.clone(),
-        prefetcher: prefetcher.name().to_string(),
-        lru: PolicyRow::from_stats(lru, lru),
-        policies,
-        ideal: PolicyRow::from_stats(ideal, lru),
-        ideal_cache: PolicyRow::from_stats(&ideal_cache, lru),
-        ripple_lru,
-        ripple_random,
-        compulsory_mpki: lru.compulsory_mpki(),
-    }
-}
-
-/// Runs the full Ripple pipeline for one underlying policy.
-pub fn run_ripple(
-    loaded: &LoadedApp,
-    prefetcher: PrefetcherKind,
-    underlying: PolicyKind,
-    threshold: f64,
-    lru_baseline: &SimStats,
-) -> RippleRow {
-    let config = RippleConfig {
-        sim: sim_config(prefetcher),
-        underlying,
-        threshold,
-        ..RippleConfig::default()
-    };
-    let ripple = Ripple::train(&loaded.app.program, &loaded.layout, &loaded.trace, config)
-        .expect("bench config is valid");
-    let o = ripple.evaluate(&loaded.trace).expect("evaluation");
-    RippleRow {
-        row: PolicyRow::from_stats(&o.ripple, lru_baseline),
-        coverage: o.coverage.coverage(),
-        accuracy: o.ripple_accuracy.accuracy(),
-        underlying_accuracy: o.underlying_accuracy.accuracy(),
-        static_overhead_pct: o.static_overhead_pct,
-        dynamic_overhead_pct: o.dynamic_overhead_pct,
-        threshold,
-    }
-}
-
-/// Tunes the per-app, per-prefetcher invalidation threshold (the paper
-/// tunes per application; winners land in 0.45..=0.65).
-///
-/// The candidate evaluations run through the shared harness's parallel
-/// [`sweep`]; the first-listed threshold wins ties, as a sequential scan
-/// would pick.
-pub fn tune_threshold(loaded: &LoadedApp, prefetcher: PrefetcherKind) -> f64 {
-    let config = RippleConfig {
-        sim: sim_config(prefetcher),
-        ..RippleConfig::default()
-    };
-    let ripple = Ripple::train(&loaded.app.program, &loaded.layout, &loaded.trace, config)
-        .expect("bench config is valid");
-    let points = sweep(&ripple, &loaded.trace, &TUNE_THRESHOLDS).expect("threshold sweep");
-    let mut best = (f64::NEG_INFINITY, TUNE_THRESHOLDS[0]);
-    for p in &points {
-        if p.speedup_pct > best.0 {
-            best = (p.speedup_pct, p.threshold);
-        }
-    }
-    best.1
-}
-
-fn grid_path(budget: u64) -> PathBuf {
-    // Benches run with the package directory as CWD; anchor the cache at
-    // the workspace target directory instead.
-    let target = std::env::var("CARGO_TARGET_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../target").to_string());
-    PathBuf::from(target).join(format!("ripple_grid_{budget}.json"))
-}
-
-/// Whether a cached grid can be reused for this run's configuration: the
-/// same instruction budget, the same cache geometry, full
-/// (app × prefetcher) coverage, and a row for every currently registered
-/// prior policy. Anything else means the cells were measured under a
-/// different experiment and the grid must be recomputed.
-pub fn grid_is_fresh(grid: &Grid, budget: u64, geometry: &str) -> bool {
-    let prior_names: Vec<&str> = prior_policies().iter().map(|p| p.name()).collect();
-    let covers_registry = grid
-        .cells
-        .iter()
-        .all(|c| prior_names.iter().all(|n| c.policies.contains_key(*n)));
-    grid.budget == budget
-        && grid.geometry == geometry
-        && grid.cells.len() == App::ALL.len() * 3
-        && covers_registry
-}
-
-/// Loads the cached grid or computes it (all 9 apps × 3 prefetchers).
-pub fn ensure_grid() -> Grid {
-    let budget = bench_budget();
-    let geometry = bench_profile().fingerprint();
-    let path = grid_path(budget);
-    if let Ok(text) = fs::read_to_string(&path) {
-        if let Ok(grid) = ripple_json::parse(&text).and_then(|v| Grid::from_json(&v)) {
-            // A cached grid is stale once a policy registers that its
-            // cells never measured (e.g. a grid cached before TRRIP
-            // landed) or once the target geometry changes
-            // (RIPPLE_BENCH_PROFILE) — recompute instead of silently
-            // reporting another machine's figures.
-            if grid_is_fresh(&grid, budget, &geometry) {
-                return grid;
-            }
-            eprintln!(
-                "[ripple-bench] cached grid at {} is stale (budget/geometry/registry changed); recomputing",
-                path.display()
-            );
-        }
-    }
-    eprintln!(
-        "[ripple-bench] computing evaluation grid (budget {budget} instructions/app); \
-         this runs once and is cached at {}",
-        path.display()
-    );
-    let mut cells = Vec::new();
-    for app in App::ALL {
-        let t0 = std::time::Instant::now();
-        let loaded = load_app(app, budget);
-        let mut thresholds = Vec::new();
-        for pf in [
-            PrefetcherKind::None,
-            PrefetcherKind::NextLine,
-            PrefetcherKind::Fdip,
-        ] {
-            let threshold = tune_threshold(&loaded, pf);
-            thresholds.push(threshold);
-            cells.push(compute_cell(&loaded, pf, threshold));
-        }
-        eprintln!(
-            "[ripple-bench]   {app}: thresholds {thresholds:?}, {:.1}s",
-            t0.elapsed().as_secs_f64()
-        );
-    }
-    let grid = Grid {
-        budget,
-        geometry,
-        cells,
-    };
-    let _ = fs::write(&path, grid.to_json().to_pretty_string());
-    grid
 }
 
 /// Prints a per-app figure series: one value per app plus the mean.
@@ -521,112 +84,4 @@ pub fn print_series(title: &str, unit: &str, rows: &[(String, f64)]) {
 /// `paper=` vs `measured=` comparison line (grepped into EXPERIMENTS.md).
 pub fn print_paper_check(label: &str, paper: f64, measured: f64, unit: &str) {
     println!("check: {label}: paper={paper}{unit} measured={measured:.2}{unit}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn trivial_row() -> PolicyRow {
-        PolicyRow {
-            speedup_pct: 0.0,
-            mpki: 0.0,
-            miss_reduction_pct: 0.0,
-            demand_misses: 0,
-        }
-    }
-
-    fn trivial_ripple() -> RippleRow {
-        RippleRow {
-            row: trivial_row(),
-            coverage: 0.0,
-            accuracy: 0.0,
-            underlying_accuracy: 0.0,
-            static_overhead_pct: 0.0,
-            dynamic_overhead_pct: 0.0,
-            threshold: 0.5,
-        }
-    }
-
-    fn synthetic_grid(budget: u64, geometry: &str) -> Grid {
-        let mut cells = Vec::new();
-        for app in App::ALL {
-            for pf in [
-                PrefetcherKind::None,
-                PrefetcherKind::NextLine,
-                PrefetcherKind::Fdip,
-            ] {
-                let mut policies = BTreeMap::new();
-                for p in prior_policies() {
-                    policies.insert(p.name().to_string(), trivial_row());
-                }
-                cells.push(AppCell {
-                    app: app.name().to_string(),
-                    prefetcher: pf.name().to_string(),
-                    lru: trivial_row(),
-                    policies,
-                    ideal: trivial_row(),
-                    ideal_cache: trivial_row(),
-                    ripple_lru: trivial_ripple(),
-                    ripple_random: trivial_ripple(),
-                    compulsory_mpki: 0.0,
-                });
-            }
-        }
-        Grid {
-            budget,
-            geometry: geometry.to_string(),
-            cells,
-        }
-    }
-
-    /// Regression: a cached grid measured on one cache geometry must not
-    /// be reused on another. Before the geometry fingerprint landed,
-    /// freshness only keyed on budget + registry coverage, so switching
-    /// the target profile silently reported another machine's figures.
-    #[test]
-    fn grid_from_another_geometry_is_stale() {
-        let geometry = bench_profile().fingerprint();
-        let grid = synthetic_grid(1000, &geometry);
-        assert!(grid_is_fresh(&grid, 1000, &geometry));
-        let other = TargetProfile::find("zen2")
-            .expect("zen2 profile exists")
-            .fingerprint();
-        assert_ne!(geometry, other, "profiles must fingerprint distinctly");
-        assert!(
-            !grid_is_fresh(&grid, 1000, &other),
-            "a geometry change must invalidate the cache"
-        );
-        assert!(
-            !grid_is_fresh(&grid, 2000, &geometry),
-            "a budget change must invalidate the cache"
-        );
-    }
-
-    #[test]
-    fn grid_missing_a_registered_policy_is_stale() {
-        let geometry = bench_profile().fingerprint();
-        let mut grid = synthetic_grid(1000, &geometry);
-        let dropped = prior_policies()[0].name();
-        grid.cells[0].policies.remove(dropped);
-        assert!(!grid_is_fresh(&grid, 1000, &geometry));
-    }
-
-    #[test]
-    fn grid_round_trips_through_json_with_geometry() {
-        let grid = synthetic_grid(7, "l1i=32768x8 l2=x l3=x lat=1/2/3/4");
-        let text = grid.to_json().to_pretty_string();
-        let back =
-            Grid::from_json(&ripple_json::parse(&text).expect("valid json")).expect("round trip");
-        assert_eq!(back.geometry, grid.geometry);
-        assert_eq!(back.budget, grid.budget);
-        assert_eq!(back.cells.len(), grid.cells.len());
-        // A legacy cache predating the geometry field fails to parse,
-        // which ensure_grid treats as a recompute.
-        let legacy = text.replace("\"geometry\"", "\"geometry_gone\"");
-        assert!(
-            Grid::from_json(&ripple_json::parse(&legacy).expect("valid json")).is_err(),
-            "legacy caches must invalidate"
-        );
-    }
 }

@@ -45,9 +45,8 @@ impl FaultMode {
 }
 
 /// Expansion token in a `policies` list: every registered online policy
-/// except the LRU baseline, in registration order (the bench's
-/// `prior_policies` set — a newly registered policy joins the experiment
-/// without editing the declaration).
+/// except the LRU baseline, in registration order (a newly registered
+/// policy joins the experiment without editing the declaration).
 pub const TOKEN_PRIORS: &str = "@priors";
 
 /// Expansion token in a `ripple_underlying` list: every registered online

@@ -7,7 +7,7 @@
 //! counters, gauges and span events into a [`Recorder`], and the recorder
 //! decides what to do with them.
 //!
-//! Three recorders are provided:
+//! Two recorders are provided:
 //!
 //! * [`NullRecorder`] — the zero-cost default. Every trait method is an
 //!   inlined no-op and [`Recorder::enabled`] returns `false`, so
@@ -15,8 +15,6 @@
 //! * [`MetricsRecorder`] — aggregates monotonic counters, last-write
 //!   gauges, per-phase timer statistics (count / total / max) and the raw
 //!   event log, all snapshotable for a structured run report.
-//! * [`JsonlRecorder`] — streams every observation as one JSON line to a
-//!   writer, for timeline tooling.
 //!
 //! Recorders observe only; they never feed back into simulation state, so
 //! enabling one leaves every simulation output byte-identical (the
@@ -31,10 +29,8 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_debug_implementations)]
 
-mod jsonl;
 mod metrics;
 
-pub use jsonl::JsonlRecorder;
 pub use metrics::{EventRecord, MetricsRecorder, MetricsSnapshot, OwnedValue, PhaseStat};
 
 use std::sync::Arc;
@@ -266,6 +262,49 @@ mod tests {
     fn empty_tee_is_disabled() {
         assert!(!TeeRecorder::new().enabled());
         assert!(TeeRecorder::new().is_empty());
+    }
+
+    #[test]
+    fn tee_of_disabled_sinks_is_disabled() {
+        let tee = TeeRecorder::new()
+            .with(Arc::new(NullRecorder))
+            .with(Arc::new(NullRecorder));
+        assert!(!tee.is_empty());
+        assert!(!tee.enabled());
+    }
+
+    #[test]
+    fn tee_forwards_gauges_and_events() {
+        let a = Arc::new(MetricsRecorder::new());
+        let b = Arc::new(MetricsRecorder::new());
+        let tee = TeeRecorder::new().with(a.clone()).with(b.clone());
+        tee.gauge("g", 2.5);
+        tee.event("e", &[("k", FieldValue::Bool(true))]);
+        for m in [&a, &b] {
+            let snap = m.snapshot();
+            assert_eq!(snap.gauge("g"), Some(2.5));
+            let e = snap.events_named("e").next().unwrap();
+            assert_eq!(e.field("k"), Some(&OwnedValue::Bool(true)));
+        }
+    }
+
+    #[test]
+    fn time_phase_records_when_enabled() {
+        let m = MetricsRecorder::new();
+        let out = time_phase(&m, "p", || 41 + 1);
+        assert_eq!(out, 42);
+        assert_eq!(m.snapshot().phase("p").map(|p| p.count), Some(1));
+    }
+
+    #[test]
+    fn phase_timer_started_disabled_records_nothing() {
+        // The timer carries no clock, so even an enabled recorder passed
+        // to `lap`/`finish` receives nothing.
+        let m = MetricsRecorder::new();
+        let mut t = PhaseTimer::start(&NullRecorder);
+        t.lap(&m, "first");
+        t.finish(&m, "second");
+        assert!(m.snapshot().phases.is_empty());
     }
 
     #[test]

@@ -255,6 +255,37 @@ mod tests {
     }
 
     #[test]
+    fn events_copy_every_field_kind() {
+        let m = MetricsRecorder::new();
+        m.event(
+            "e",
+            &[
+                ("i", FieldValue::I64(-7)),
+                ("f", FieldValue::F64(0.25)),
+                ("b", FieldValue::Bool(false)),
+            ],
+        );
+        let s = m.snapshot();
+        let e = s.events_named("e").next().unwrap();
+        assert_eq!(e.field("i"), Some(&OwnedValue::I64(-7)));
+        assert_eq!(e.field("f"), Some(&OwnedValue::F64(0.25)));
+        assert_eq!(e.field("b"), Some(&OwnedValue::Bool(false)));
+        // The typed accessors answer only for their own kind.
+        assert_eq!(e.field("i").and_then(OwnedValue::as_u64), None);
+        assert_eq!(e.field("f").and_then(OwnedValue::as_str), None);
+    }
+
+    #[test]
+    fn gauges_keep_nonfinite_values() {
+        let m = MetricsRecorder::new();
+        m.gauge("nan", f64::NAN);
+        m.gauge("inf", f64::INFINITY);
+        let s = m.snapshot();
+        assert!(s.gauge("nan").is_some_and(f64::is_nan));
+        assert_eq!(s.gauge("inf"), Some(f64::INFINITY));
+    }
+
+    #[test]
     fn concurrent_recording_is_safe() {
         let m = std::sync::Arc::new(MetricsRecorder::new());
         std::thread::scope(|s| {

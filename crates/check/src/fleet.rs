@@ -5,7 +5,9 @@
 //! promises are exactly "as if each shard had been replayed `weight`
 //! times in one long trace": this dimension fuzzes that claim against
 //! the physical oracle — concatenate every shard `weight` times into one
-//! [`BbTrace`] and run the plain [`line_access_counts`] profiler over it.
+//! [`BbTrace`] and count its line visits with the checker's own naive
+//! per-visit map ([`line_visit_counts`]), which shares no code with the
+//! production's block-count expansion.
 //! The merged counts, the shard-order-permuted merged counts, and the
 //! downstream temperature classification must all agree exactly.
 //!
@@ -14,12 +16,13 @@
 use std::collections::BTreeMap;
 
 use rand::{Rng, SeedableRng, StdRng};
-use ripple::{line_access_counts, temperatures_from_counts};
+use ripple::temperatures_from_counts;
 use ripple_fleet::merge_weighted_counts;
 use ripple_program::{Layout, LayoutConfig, LineAddr, Program};
 use ripple_trace::BbTrace;
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
+use crate::map_ref::line_visit_counts;
 use crate::shrink::min_failing_prefix;
 
 /// One generated aggregation case: a service binary plus weighted shards.
@@ -66,7 +69,7 @@ fn gen_fleet_case(seed: u64) -> FleetCase {
 }
 
 /// The brute-force oracle: each shard physically repeated `weight` times
-/// in one long trace, profiled by the plain (unweighted) counter.
+/// in one long trace, profiled by a plain per-visit counter.
 fn oracle_counts(case: &FleetCase) -> BTreeMap<LineAddr, u64> {
     let mut big = BbTrace::default();
     for (trace, weight) in &case.shards {
@@ -74,7 +77,7 @@ fn oracle_counts(case: &FleetCase) -> BTreeMap<LineAddr, u64> {
             big.extend_from(trace);
         }
     }
-    line_access_counts(&case.layout, &big).into_iter().collect()
+    line_visit_counts(&case.layout, &big).into_iter().collect()
 }
 
 fn merged_counts(case: &FleetCase, reverse: bool) -> BTreeMap<LineAddr, u64> {

@@ -25,7 +25,9 @@
 //!    loss (lossy), and never panic;
 //! 7. [`rewrite_eq`] — incremental relinking vs full rewrite on random
 //!    injection-plan chains, dense vs reference cue analysis on real
-//!    oracle window sets, and 1-vs-4-thread `RippleOutcome` invariance;
+//!    oracle window sets, the dense line tables (access index, origins,
+//!    line mapper) vs the map-based references in [`map_ref`], and
+//!    1-vs-4-thread `RippleOutcome` invariance;
 //! 8. [`shards`] — replay shard-count invariance: stats and eviction
 //!    streams byte-identical at 1, 2, 4 and 7 replay shards for every
 //!    registered policy (set-local families shard, the rest must fall
@@ -51,6 +53,7 @@ pub mod equiv;
 pub mod faults;
 pub mod fleet;
 pub mod lab;
+pub mod map_ref;
 pub mod model_cache;
 pub mod reference;
 pub mod rewrite_eq;

@@ -5,10 +5,15 @@
 //! injected prefixes changed and splicing the rest from the previous
 //! layout — and selects cues with the dense, epoch-stamped
 //! [`analyze_windows`]. Both are pure optimizations with retained
-//! reference implementations ([`rewrite`] and
+//! reference implementations ([`rewrite`] and the checker-owned
 //! [`analyze_windows_reference`]); this dimension fuzzes random
 //! injection-plan chains and real oracle window sets and demands
-//! byte-identical results. A subset of cases additionally runs the full
+//! byte-identical results. The dense line tables on the same paths — the
+//! [`LineAccessIndex`], the line origins and the [`LineMapper`] of every
+//! full and incremental relink — must answer every query exactly as the
+//! map-based references in [`map_ref`](crate::map_ref) do, including
+//! lines outside the layout and positions past the trace end. A subset
+//! of cases additionally runs the full
 //! pipeline at 1 and 4 harness threads and demands an identical
 //! [`RippleOutcome`], then evaluates three thresholds (the strictest
 //! usually with an empty plan) through one shared `EvalBaseline` and
@@ -17,11 +22,11 @@
 //! [`RippleOutcome`]: ripple::RippleOutcome
 
 use rand::{Rng, SeedableRng, StdRng};
-use ripple::{analyze_windows, analyze_windows_reference, AnalysisConfig, WindowSink};
+use ripple::{analyze_windows, AnalysisConfig, LineAccessIndex, WindowSink};
 use ripple::{Ripple, RippleConfig};
 use ripple_program::{
-    rewrite, rewrite_incremental, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig,
-    Program,
+    line_origins, rewrite, rewrite_incremental, BlockId, CodeLoc, Injection, InjectionPlan, Layout,
+    LayoutConfig, LineAddr, LineMapper, Program,
 };
 use ripple_sim::{
     CacheGeometry, EvictionMechanism, PolicyKind, PrefetcherKind, SimConfig, SimSession,
@@ -29,6 +34,7 @@ use ripple_sim::{
 use ripple_trace::BbTrace;
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
+use crate::map_ref::{analyze_windows_reference, map_mapper, map_origins, MapAccessIndex};
 use crate::shrink::{min_failing_prefix, shrink_list};
 
 /// One generated relinking case: a program, its profiled layout, a trace,
@@ -118,10 +124,18 @@ fn rewrite_violation(case: &RewriteCase) -> Option<String> {
     let first = to_plan(&case.plans[0]);
     let mut prev_plan = first.clone();
     let mut prev = rewrite(&case.program, &case.layout, &first);
+    if let Some(message) = mapper_violation(case, &prev.mapper, &prev.layout) {
+        return Some(format!("round 0 full relink: {message}"));
+    }
     for (round, injections) in case.plans.iter().enumerate().skip(1) {
         let plan = to_plan(injections);
         let full = rewrite(&case.program, &case.layout, &plan);
         let incr = rewrite_incremental(&case.program, &case.layout, &plan, &prev_plan, prev);
+        for (kind, rewritten) in [("full", &full), ("incremental", &incr)] {
+            if let Some(message) = mapper_violation(case, &rewritten.mapper, &rewritten.layout) {
+                return Some(format!("round {round} {kind} relink: {message}"));
+            }
+        }
         if incr.layout != full.layout {
             return Some(format!(
                 "incremental relink diverged from full rewrite at round {round}: layouts differ"
@@ -143,11 +157,102 @@ fn rewrite_violation(case: &RewriteCase) -> Option<String> {
     None
 }
 
+/// Lines to query a dense line table with: every line of the layout, two
+/// on either side of it, and the ends of the line address space.
+fn probe_lines(layout: &Layout) -> Vec<LineAddr> {
+    let mut lines = vec![LineAddr::new(0), LineAddr::new(u64::MAX)];
+    if let Some((first, last)) = layout.line_bounds() {
+        let lo = first.index().saturating_sub(2);
+        lines.extend((lo..=last.index() + 2).map(LineAddr::new));
+    }
+    lines
+}
+
+/// A dense [`LineMapper`] against the map-based reference for the same
+/// relink.
+fn mapper_violation(
+    case: &RewriteCase,
+    mapper: &LineMapper,
+    new_layout: &Layout,
+) -> Option<String> {
+    let reference = map_mapper(&case.program, &case.layout, new_layout);
+    if mapper.len() != reference.len() {
+        return Some(format!(
+            "line mapper maps {} lines, the map reference {}",
+            mapper.len(),
+            reference.len()
+        ));
+    }
+    probe_lines(&case.layout).into_iter().find_map(|line| {
+        let expect = reference.get(&line).copied().unwrap_or(line);
+        (mapper.map(line) != expect).then(|| {
+            format!(
+                "line mapper sends {line} to {}, the map reference to {expect}",
+                mapper.map(line)
+            )
+        })
+    })
+}
+
+/// The dense origins table and access index of one layout against the
+/// map-based references. Access queries run at every recorded position,
+/// one before it, and past the end of the trace.
+fn layout_tables_violation(program: &Program, layout: &Layout, trace: &BbTrace) -> Option<String> {
+    let origins = line_origins(program, layout);
+    let ref_origins = map_origins(program, layout);
+    if origins.iter().count() != ref_origins.len() {
+        return Some("dense origins cover a different number of lines".into());
+    }
+    let accesses = LineAccessIndex::build(layout, trace);
+    let reference = MapAccessIndex::build(layout, trace);
+    if accesses.len() != reference.len() {
+        return Some(format!(
+            "access index holds {} lines, the map reference {}",
+            accesses.len(),
+            reference.len()
+        ));
+    }
+    let end = trace.len() as u64;
+    for line in probe_lines(layout) {
+        if origins.get(line) != ref_origins.get(&line).copied() {
+            return Some(format!(
+                "dense origin of {line} differs from the map reference"
+            ));
+        }
+        let recorded = reference.positions(line).iter().copied();
+        let queries =
+            recorded
+                .flat_map(|p| [p.saturating_sub(1), p])
+                .chain([0, end, end + 7, u64::MAX]);
+        for pos in queries {
+            let (got, expect) = (
+                accesses.next_access_after(line, pos),
+                reference.next_access_after(line, pos),
+            );
+            if got != expect {
+                return Some(format!(
+                    "next access of {line} after {pos}: dense {got:?}, map reference {expect:?}"
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// Dense-vs-reference cue analysis over a *real* oracle window set from
-/// the rewritten binary (the exact windows the fixpoint loop analyzes).
+/// the rewritten binary (the exact windows the fixpoint loop analyzes),
+/// after the dense line tables of the profiled and the rewritten layout.
 fn analysis_violation(case: &RewriteCase) -> Option<String> {
     let last = to_plan(case.plans.last().expect("chain is non-empty"));
     let rewritten = rewrite(&case.program, &case.layout, &last);
+    for (name, program, layout) in [
+        ("profiled", &case.program, &case.layout),
+        ("rewritten", &rewritten.program, &rewritten.layout),
+    ] {
+        if let Some(message) = layout_tables_violation(program, layout, &case.trace) {
+            return Some(format!("{name} layout: {message}"));
+        }
+    }
     let mut cfg = SimConfig::default();
     cfg.l1i = CacheGeometry::new(1024, 2);
     cfg.prefetcher = PrefetcherKind::NextLine;
@@ -170,34 +275,35 @@ fn analysis_violation(case: &RewriteCase) -> Option<String> {
         &rewritten.program,
         &rewritten.layout,
         &case.trace,
-        windows,
+        &windows,
         &analysis_cfg,
     );
-    if dense.windows() != reference.windows() {
+    if dense.windows() != windows.as_slice() {
         return Some("dense analysis reordered the window set".into());
     }
-    if dense.choices() != reference.choices() {
+    if dense.choices() != reference.as_slice() {
         let idx = dense
             .choices()
             .iter()
-            .zip(reference.choices().iter())
+            .zip(reference.iter())
             .position(|(a, b)| a != b)
-            .unwrap_or_else(|| dense.choices().len().min(reference.choices().len()));
+            .unwrap_or_else(|| dense.choices().len().min(reference.len()));
         return Some(format!(
             "dense and reference cue choices diverge at window {idx}"
         ));
     }
-    let (dense_plan, dense_cov) = dense.plan_for_threshold(case.threshold);
-    let (ref_plan, ref_cov) = reference.plan_for_threshold(case.threshold);
-    if dense_plan.injections() != ref_plan.injections() || dense_cov != ref_cov {
-        return Some(format!(
-            "plans diverge at threshold {}: {} vs {} injections",
-            case.threshold,
-            dense_plan.len(),
-            ref_plan.len()
-        ));
-    }
-    None
+    // Every planned victim is the map-reference origin of its own line.
+    let origins = map_origins(&rewritten.program, &rewritten.layout);
+    let (plan, _) = dense.plan_for_threshold(case.threshold);
+    plan.injections().iter().find_map(|inj| {
+        let line = rewritten.layout.line_of(inj.victim);
+        (origins.get(&line) != Some(&inj.victim)).then(|| {
+            format!(
+                "plan at threshold {} names victim {:?}, not the origin of {line}",
+                case.threshold, inj.victim
+            )
+        })
+    })
 }
 
 /// Full-pipeline probe: train once, evaluate at 1 and 4 harness threads;

@@ -17,10 +17,13 @@
 use std::collections::{HashMap, HashSet};
 
 use ripple_program::{
-    line_origins, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LineAddr, Program,
+    line_origins, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LineAddr, LineOrigins,
+    Program,
 };
 use ripple_sim::{EvictionEvent, EvictionSink};
 use ripple_trace::BbTrace;
+
+use crate::metrics::block_visit_counts;
 
 /// One ideal-policy eviction window (Fig. 5a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,7 +193,7 @@ impl Default for AnalysisConfig {
 pub struct Analysis {
     windows: Vec<EvictionWindow>,
     choices: Vec<WindowChoice>,
-    origins: HashMap<LineAddr, CodeLoc>,
+    origins: LineOrigins,
     selection: CueSelection,
     per_block_cap: usize,
     max_earliest_gap: u64,
@@ -309,7 +312,7 @@ impl Analysis {
             if eligible.is_empty() {
                 continue;
             }
-            let Some(&victim_loc) = self.origins.get(&choice.victim) else {
+            let Some(victim_loc) = self.origins.get(choice.victim) else {
                 continue;
             };
             let mut placed = false;
@@ -418,9 +421,9 @@ pub fn analyze(
 /// each window is scanned exactly once (back side then front side, fused),
 /// and all per-window / per-victim scratch lives in flat `BlockId`-indexed
 /// arrays with epoch stamps instead of hash maps — no per-window clears,
-/// no hashing in the scan loop. [`analyze_windows_reference`] keeps the
-/// original two-pass map-based implementation as the equivalence oracle;
-/// both must produce identical `WindowChoice` sequences.
+/// no hashing in the scan loop. `ripple-check` keeps the original
+/// two-pass map-based implementation as the equivalence oracle; both must
+/// produce identical `WindowChoice` sequences.
 pub fn analyze_windows(
     program: &Program,
     layout: &Layout,
@@ -432,10 +435,7 @@ pub fn analyze_windows(
     let num_blocks = program.num_blocks();
 
     // Execution counts for the probability denominator.
-    let mut exec_count = vec![0u64; num_blocks];
-    for &b in blocks {
-        exec_count[b.index()] += 1;
-    }
+    let exec_count = block_visit_counts(layout, trace);
 
     // Precomputed block -> (first, last) spanned-line table (flat, eager):
     // the scan loop tests victim containment per trace position, so this
@@ -591,154 +591,6 @@ pub fn analyze_windows(
         .into_iter()
         .map(|c| c.unwrap_or_else(|| unreachable!("every window staged exactly once")))
         .collect();
-
-    Analysis {
-        windows,
-        choices,
-        origins: line_origins(program, layout),
-        selection: config.cue_selection,
-        per_block_cap: config.max_injections_per_block.max(1),
-        max_earliest_gap: config.max_earliest_gap,
-        min_pair_windows: config.min_windows_per_injection.max(1),
-    }
-}
-
-/// The original two-pass, map-based implementation of
-/// [`analyze_windows`], retained verbatim as the equivalence oracle for
-/// the dense path (and exercised by `ripple-check` and the analysis
-/// equivalence tests). Must produce an identical [`Analysis`].
-pub fn analyze_windows_reference(
-    program: &Program,
-    layout: &Layout,
-    trace: &BbTrace,
-    windows: Vec<EvictionWindow>,
-    config: &AnalysisConfig,
-) -> Analysis {
-    let blocks = trace.blocks();
-
-    // Execution counts for the probability denominator.
-    let mut exec_count = vec![0u64; program.num_blocks()];
-    for &b in blocks {
-        exec_count[b.index()] += 1;
-    }
-
-    // Cache of which lines each block spans (for the stop-at-victim rule).
-    let mut block_lines: Vec<Option<(u64, u64)>> = vec![None; program.num_blocks()];
-    let mut lines_of = |b: BlockId| -> (u64, u64) {
-        let slot = &mut block_lines[b.index()];
-        *slot.get_or_insert_with(|| {
-            let mut iter = layout.lines_of_block(b);
-            let first = iter.next().map(|l| l.index()).unwrap_or(u64::MAX);
-            let last = iter.last().map(|l| l.index()).unwrap_or(first);
-            (first, last)
-        })
-    };
-    let mut contains = |b: BlockId, line: LineAddr| -> bool {
-        let (first, last) = lines_of(b);
-        (first..=last).contains(&line.index())
-    };
-
-    // Candidate scan: both ends of the window matter. Blocks just
-    // *before* the eviction trigger time the invalidation perfectly, but
-    // depend on whatever request happens to run next; blocks just *after*
-    // the victim's last access belong to the victim's own (recurring)
-    // request, so the same (cue, victim) pair re-covers every recurrence
-    // — and at high coverage, early in-window invalidation is exactly as
-    // good (the free way is consumed by fills that each had their own
-    // invalidated victim).
-    let mut scan = |w: &EvictionWindow,
-                    scratch: &mut HashSet<BlockId>,
-                    ordered: Option<&mut Vec<BlockId>>,
-                    earliest: Option<&mut HashMap<BlockId, u64>>| {
-        scratch.clear();
-        let lo = w.start + 1;
-        let hi = w.end; // exclusive: the trigger block itself is too late
-        let back_lo = hi.saturating_sub(config.max_window_blocks as u64).max(lo);
-        let front_hi = lo.saturating_add(config.front_window_blocks as u64).min(hi);
-        let mut ordered = ordered;
-        let mut earliest = earliest;
-        let half = config.max_candidates / 2;
-        // Back side, nearest the trigger first.
-        for p in (back_lo..hi).rev() {
-            let b = blocks[p as usize];
-            if contains(b, w.victim) {
-                break;
-            }
-            if scratch.insert(b) {
-                if let Some(ord) = ordered.as_deref_mut() {
-                    if ord.len() < half {
-                        ord.push(b);
-                    }
-                }
-            }
-            if let Some(e) = earliest.as_deref_mut() {
-                e.insert(b, p); // walking backward: later writes are earlier
-            }
-        }
-        // Front side, nearest the last access first.
-        for p in lo..front_hi {
-            let b = blocks[p as usize];
-            if contains(b, w.victim) {
-                break;
-            }
-            if scratch.insert(b) {
-                if let Some(ord) = ordered.as_deref_mut() {
-                    if ord.len() < config.max_candidates {
-                        ord.push(b);
-                    }
-                }
-            }
-            if let Some(e) = earliest.as_deref_mut() {
-                e.entry(b).and_modify(|x| *x = (*x).min(p)).or_insert(p);
-            }
-        }
-    };
-
-    // Pass 1: count, per (victim, candidate) pair, the distinct windows of
-    // the victim that contain the candidate.
-    let mut pair_windows: HashMap<(LineAddr, BlockId), u32> = HashMap::new();
-    let mut scratch: HashSet<BlockId> = HashSet::new();
-    for w in &windows {
-        scan(w, &mut scratch, None, None);
-        for &b in scratch.iter() {
-            *pair_windows.entry((w.victim, b)).or_insert(0) += 1;
-        }
-    }
-
-    // Pass 2: collect each window's candidates.
-    let is_rewritable = |b: BlockId| {
-        let func = program.block(b).func();
-        program.function(func).kind().is_rewritable()
-    };
-    let mut choices = Vec::with_capacity(windows.len());
-    let mut ordered: Vec<BlockId> = Vec::new();
-    let mut earliest: HashMap<BlockId, u64> = HashMap::new();
-    for w in &windows {
-        ordered.clear();
-        earliest.clear();
-        scan(w, &mut scratch, Some(&mut ordered), Some(&mut earliest));
-        let hi = w.end;
-        let candidates: Vec<CueCandidate> = ordered
-            .iter()
-            .filter_map(|&b| {
-                let execs = exec_count[b.index()];
-                if execs == 0 {
-                    return None;
-                }
-                let hits = pair_windows[&(w.victim, b)];
-                Some(CueCandidate {
-                    block: b,
-                    probability: f64::from(hits) / execs as f64,
-                    rewritable: is_rewritable(b),
-                    earliest_gap: hi - earliest.get(&b).copied().unwrap_or(hi),
-                })
-            })
-            .collect();
-        choices.push(WindowChoice {
-            victim: w.victim,
-            candidates,
-        });
-    }
 
     Analysis {
         windows,

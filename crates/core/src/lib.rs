@@ -64,8 +64,8 @@ mod report;
 mod threshold;
 
 pub use analysis::{
-    analyze, analyze_windows, analyze_windows_reference, Analysis, AnalysisConfig, CoverageStats,
-    CueCandidate, CueSelection, EvictionWindow, WindowChoice, WindowSink,
+    analyze, analyze_windows, Analysis, AnalysisConfig, CoverageStats, CueCandidate, CueSelection,
+    EvictionWindow, WindowChoice, WindowSink,
 };
 pub use baseline::EvalBaseline;
 pub use error::{ConfigError, Error, JobError};
@@ -74,9 +74,9 @@ pub use harness::{
     run_jobs_observed_settled, run_jobs_retrying, run_jobs_settled, Job, RetryJob,
 };
 pub use metrics::{
-    decision_is_accurate, eviction_accuracy, invalidation_accuracy, line_access_counts,
-    plan_accuracy, profile_temperatures, temperatures_from_counts, AccuracySink, AccuracyStats,
-    LineAccessIndex, WindowIndex,
+    block_visit_counts, decision_is_accurate, eviction_accuracy, invalidation_accuracy,
+    line_access_counts, line_counts_of_blocks, plan_accuracy, profile_temperatures,
+    temperatures_from_counts, AccuracySink, AccuracyStats, LineAccessIndex, WindowIndex,
 };
 pub use pipeline::{Ripple, RippleConfig, RippleConfigBuilder, RippleOutcome};
 pub use profile::{collect_profile, Profile};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use ripple_program::{BlockId, InstKind, Layout, LineAddr, Program};
+use ripple_program::{BlockId, InstKind, Layout, LineAddr, LineRange, Program};
 use ripple_sim::{EvictionEvent, EvictionSink, Temperature, TemperatureMap};
 use ripple_trace::BbTrace;
 
@@ -10,33 +10,63 @@ use crate::analysis::EvictionWindow;
 
 /// Per-line index of demand access positions, for "is this line ever used
 /// again after position p?" queries.
+///
+/// Compressed sparse rows over the layout's [`LineRange`]: line slot `i`
+/// owns `positions[offsets[i]..offsets[i + 1]]`, ascending. Offsets are
+/// `usize`, so they cannot wrap however long the trace.
 #[derive(Debug, Default)]
 pub struct LineAccessIndex {
-    positions: HashMap<LineAddr, Vec<u64>>,
+    lines: LineRange,
+    offsets: Vec<usize>,
+    positions: Vec<u64>,
 }
 
 impl LineAccessIndex {
     /// Builds the index from a block trace under `layout`.
     pub fn build(layout: &Layout, trace: &BbTrace) -> Self {
-        let mut positions: HashMap<LineAddr, Vec<u64>> = HashMap::new();
+        let lines = layout.line_range();
+        // Row lengths come from per-block counts; only the fill below
+        // walks every line visit.
+        let mut offsets = vec![0usize; lines.len() + 1];
+        for (line, count) in dense_line_counts(layout, &block_visit_counts(layout, trace)) {
+            offsets[line + 1] = count as usize;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets[..lines.len()].to_vec();
+        let mut positions = vec![0u64; offsets[lines.len()]];
         for (pos, block) in trace.iter().enumerate() {
             for line in layout.lines_of_block(block) {
-                positions.entry(line).or_default().push(pos as u64);
+                let next = &mut cursor[lines.offset(line)];
+                positions[*next] = pos as u64;
+                *next += 1;
             }
         }
-        LineAccessIndex { positions }
+        LineAccessIndex {
+            lines,
+            offsets,
+            positions,
+        }
+    }
+
+    /// The ascending access positions of `line` (empty outside the layout).
+    fn row(&self, line: LineAddr) -> &[u64] {
+        match self.lines.slot(line) {
+            Some(i) => &self.positions[self.offsets[i]..self.offsets[i + 1]],
+            None => &[],
+        }
     }
 
     /// First demand access to `line` strictly after `pos`, if any.
     pub fn next_access_after(&self, line: LineAddr, pos: u64) -> Option<u64> {
-        let v = self.positions.get(&line)?;
-        let i = v.partition_point(|&p| p <= pos);
-        v.get(i).copied()
+        let row = self.row(line);
+        row.get(row.partition_point(|&p| p <= pos)).copied()
     }
 
     /// Number of distinct lines indexed.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.offsets.windows(2).filter(|w| w[0] < w[1]).count()
     }
 
     /// Whether the index is empty.
@@ -45,18 +75,54 @@ impl LineAccessIndex {
     }
 }
 
-/// Raw per-line demand access counts of `trace` under `layout` — the
-/// mergeable half of [`profile_temperatures`]. Fleet-profile aggregation
-/// sums these across trace shards (weighted by instance traffic) before
-/// classifying the merged counts with [`temperatures_from_counts`].
-pub fn line_access_counts(layout: &Layout, trace: &BbTrace) -> HashMap<LineAddr, u64> {
-    let mut counts: HashMap<LineAddr, u64> = HashMap::new();
+/// How often each block of `layout`'s program executes in `trace`,
+/// indexed by [`BlockId`].
+pub fn block_visit_counts(layout: &Layout, trace: &BbTrace) -> Vec<u64> {
+    let mut counts = vec![0u64; layout.num_blocks()];
     for block in trace.iter() {
-        for line in layout.lines_of_block(block) {
-            *counts.entry(line).or_insert(0) += 1;
-        }
+        counts[block.index()] += 1;
     }
     counts
+}
+
+/// Expands per-block counts to per-line counts over `layout`'s
+/// [`LineRange`]: every line a block touches gains the block's count.
+/// Yields `(slot, count)` for each line with a non-zero count, ascending.
+fn dense_line_counts(layout: &Layout, block_counts: &[u64]) -> impl Iterator<Item = (usize, u64)> {
+    let lines = layout.line_range();
+    let mut dense = vec![0u64; lines.len()];
+    for (b, &count) in block_counts.iter().enumerate() {
+        if count == 0 {
+            continue;
+        }
+        for line in layout.lines_of_block(BlockId::new(b as u32)) {
+            dense[lines.offset(line)] += count;
+        }
+    }
+    dense.into_iter().enumerate().filter(|&(_, c)| c != 0)
+}
+
+/// Per-line access counts from per-block counts (see
+/// [`block_visit_counts`]): every line a block touches counts each of the
+/// block's executions. Lines with no access are omitted; the result is in
+/// ascending line order.
+///
+/// Fleet aggregation sums weighted block counts over its shards and
+/// expands them here once, instead of counting every line visit.
+pub fn line_counts_of_blocks(layout: &Layout, block_counts: &[u64]) -> Vec<(LineAddr, u64)> {
+    let lines = layout.line_range();
+    dense_line_counts(layout, block_counts)
+        .map(|(i, count)| (lines.line(i), count))
+        .collect()
+}
+
+/// Raw per-line demand access counts of `trace` under `layout`, in
+/// ascending line order — the mergeable half of [`profile_temperatures`].
+/// Fleet-profile aggregation sums these across trace shards (weighted by
+/// instance traffic) before classifying the merged counts with
+/// [`temperatures_from_counts`].
+pub fn line_access_counts(layout: &Layout, trace: &BbTrace) -> Vec<(LineAddr, u64)> {
+    line_counts_of_blocks(layout, &block_visit_counts(layout, trace))
 }
 
 /// Classifies profiled per-line access counts into TRRIP temperature
@@ -385,23 +451,57 @@ mod tests {
         assert_eq!(AccuracyStats::default().accuracy(), 1.0);
     }
 
+    /// Two one-block functions, each in a cache line of its own.
+    fn two_line_layout() -> (Layout, BlockId, BlockId) {
+        use ripple_program::{CodeKind, Instruction, LayoutConfig, ProgramBuilder};
+
+        let mut b = ProgramBuilder::new();
+        let mut blocks = Vec::new();
+        for name in ["a", "b"] {
+            let f = b.add_function(name, CodeKind::Static);
+            let blk = b.add_block(f);
+            b.push_inst(blk, Instruction::other(10));
+            b.push_inst(blk, Instruction::ret());
+            blocks.push(blk);
+        }
+        let program = b.finish(ripple_program::FuncId::new(0)).unwrap();
+        (
+            Layout::new(&program, &LayoutConfig::default()),
+            blocks[0],
+            blocks[1],
+        )
+    }
+
     #[test]
     fn eviction_accuracy_scores_log_entries() {
-        let windows = windows_of(&[(7, 10, 20)]);
-        // Line 7 accessed at 5 and 25: an eviction at 15 matches the
-        // window (accurate); an eviction at 22 is premature (line used at
-        // 25, no window) -> inaccurate.
-        let mut accesses = LineAccessIndex::default();
-        accesses.positions.insert(l(7), vec![5, 25]);
+        // Block `a`'s line is accessed at positions 5 and 25; block `b`
+        // fills every other position.
+        let (layout, a, b) = two_line_layout();
+        let trace = BbTrace::new(
+            (0..30)
+                .map(|p| if p == 5 || p == 25 { a } else { b })
+                .collect(),
+        );
+        let accesses = LineAccessIndex::build(&layout, &trace);
+        let line = layout.lines_of_block(a).next().unwrap();
+        assert_eq!(accesses.next_access_after(line, 5), Some(25));
+
+        // An eviction at 15 matches the window (accurate); an eviction at
+        // 22 is premature (line used at 25, no window) -> inaccurate.
+        let windows = WindowIndex::build(&[EvictionWindow {
+            victim: line,
+            start: 10,
+            end: 20,
+        }]);
         let log = vec![
             EvictionEvent {
-                victim: l(7),
+                victim: line,
                 evict_pos: 15,
                 last_access_pos: 5,
                 by_prefetch: false,
             },
             EvictionEvent {
-                victim: l(7),
+                victim: line,
                 evict_pos: 22,
                 last_access_pos: 5,
                 by_prefetch: false,
@@ -410,6 +510,53 @@ mod tests {
         let s = eviction_accuracy(&log, &windows, &accesses);
         assert_eq!(s.accurate, 1);
         assert_eq!(s.total, 2);
+    }
+
+    #[test]
+    fn access_index_rows_hold_every_visit_in_order() {
+        let (layout, a, b) = two_line_layout();
+        let trace = BbTrace::new(vec![a, b, b, a, b]);
+        let accesses = LineAccessIndex::build(&layout, &trace);
+        let (la, lb) = (
+            layout.lines_of_block(a).next().unwrap(),
+            layout.lines_of_block(b).next().unwrap(),
+        );
+        assert_eq!(accesses.len(), 2);
+        assert_eq!(accesses.next_access_after(la, 0), Some(3));
+        assert_eq!(accesses.next_access_after(lb, 0), Some(1));
+        assert_eq!(accesses.next_access_after(lb, 2), Some(4));
+        // Positions past the trace end have no next access.
+        assert_eq!(accesses.next_access_after(la, 3), None);
+        assert_eq!(accesses.next_access_after(lb, 1_000), None);
+        assert_eq!(line_access_counts(&layout, &trace), vec![(la, 2), (lb, 3)]);
+    }
+
+    #[test]
+    fn access_index_of_an_empty_trace_is_empty() {
+        let (layout, a, _) = two_line_layout();
+        let accesses = LineAccessIndex::build(&layout, &BbTrace::default());
+        assert!(accesses.is_empty());
+        assert_eq!(accesses.len(), 0);
+        let line = layout.lines_of_block(a).next().unwrap();
+        assert_eq!(accesses.next_access_after(line, 0), None);
+        assert!(line_access_counts(&layout, &BbTrace::default()).is_empty());
+    }
+
+    #[test]
+    fn lines_outside_the_layout_have_no_accesses() {
+        let (layout, a, b) = two_line_layout();
+        let accesses = LineAccessIndex::build(&layout, &BbTrace::new(vec![a, b, a]));
+        let (first, last) = layout.line_bounds().unwrap();
+        for line in [
+            LineAddr::new(0),
+            LineAddr::new(first.index() - 1),
+            last.next(),
+            LineAddr::new(u64::MAX),
+        ] {
+            assert_eq!(accesses.next_access_after(line, 0), None, "{line}");
+        }
+        // The default index covers no lines at all.
+        assert_eq!(LineAccessIndex::default().next_access_after(first, 0), None);
     }
 
     #[test]

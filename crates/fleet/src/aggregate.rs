@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use ripple::line_access_counts;
+use ripple::line_counts_of_blocks;
 use ripple_program::{Layout, LineAddr};
 use ripple_trace::{BbTrace, TraceHealth};
 
@@ -20,25 +20,28 @@ pub struct Shard {
     pub health: TraceHealth,
 }
 
-/// Merges shards into one weighted line-access profile: each shard's
-/// [`line_access_counts`] scaled by its instance weight, summed.
+/// Merges shards into one weighted line-access profile: each block's
+/// executions in each shard, scaled by the shard's instance weight and
+/// summed, then expanded to lines once with [`line_counts_of_blocks`].
 ///
 /// The result is a `BTreeMap` so iteration order — and everything
 /// derived from it, fingerprints included — is independent of shard
-/// order and of `HashMap` hashing. Equivalent to profiling one big trace
-/// with every shard repeated `weight` times (the `ripple-check` fleet
-/// dimension holds this against that brute-force oracle).
+/// order. Equivalent to profiling one big trace with every shard repeated
+/// `weight` times (the `ripple-check` fleet dimension holds this against
+/// that brute-force oracle), so a weight-0 shard contributes nothing.
 pub fn merge_weighted_counts(
     layout: &Layout,
     shards: &[(&BbTrace, u64)],
 ) -> BTreeMap<LineAddr, u64> {
-    let mut merged: BTreeMap<LineAddr, u64> = BTreeMap::new();
+    let mut block_counts = vec![0u64; layout.num_blocks()];
     for &(trace, weight) in shards {
-        for (line, count) in line_access_counts(layout, trace) {
-            *merged.entry(line).or_insert(0) += count * weight;
+        for block in trace.iter() {
+            block_counts[block.index()] += weight;
         }
     }
-    merged
+    line_counts_of_blocks(layout, &block_counts)
+        .into_iter()
+        .collect()
 }
 
 /// Concatenates shard traces (in the given order) into one training
@@ -81,8 +84,9 @@ mod tests {
         for _ in 0..3 {
             big.extend_from(&b);
         }
-        let oracle: BTreeMap<LineAddr, u64> =
-            line_access_counts(&layout, &big).into_iter().collect();
+        let oracle: BTreeMap<LineAddr, u64> = ripple::line_access_counts(&layout, &big)
+            .into_iter()
+            .collect();
         assert_eq!(merged, oracle);
     }
 

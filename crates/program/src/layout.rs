@@ -66,6 +66,58 @@ pub struct Layout {
     /// Block indices in ascending address order, ties in layout order.
     /// Built by the constructors so that address lookups never sort.
     by_addr: Vec<u32>,
+    /// The lines any block touches, found once by the constructors.
+    lines: LineRange,
+}
+
+/// A layout's text lines as a dense index space: slot `i` holds line
+/// `first + i`.
+///
+/// Per-line tables over one layout ([`LineMapper`](crate::LineMapper),
+/// [`LineOrigins`](crate::LineOrigins), the core crate's access index and
+/// profile counts) are plain vectors indexed by slot instead of hash maps
+/// keyed by [`LineAddr`]. The range is empty for a program without code
+/// bytes.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LineRange {
+    first: u64,
+    len: usize,
+}
+
+impl LineRange {
+    /// Number of lines (slots) in the range.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// Whether the range holds no line.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The slot of `line`, or `None` when it lies outside the range.
+    #[inline]
+    pub fn slot(self, line: LineAddr) -> Option<usize> {
+        let i = line.index().wrapping_sub(self.first);
+        (i < self.len as u64).then_some(i as usize)
+    }
+
+    /// The slot of a line known to lie in the range, such as any line a
+    /// block of the layout touches: equal to [`LineRange::slot`] there.
+    /// For a line outside the range it is at least `len`, so indexing a
+    /// table with it fails its bounds check.
+    #[inline]
+    pub fn offset(self, line: LineAddr) -> usize {
+        line.index().wrapping_sub(self.first) as usize
+    }
+
+    /// The line held by `slot` (`slot < len`).
+    #[inline]
+    pub fn line(self, slot: usize) -> LineAddr {
+        LineAddr::new(self.first + slot as u64)
+    }
 }
 
 impl Layout {
@@ -95,6 +147,7 @@ impl Layout {
         Layout {
             config: *config,
             by_addr: address_order(&block_addr, visited),
+            lines: line_range(&block_addr, &block_size),
             block_addr,
             block_size,
             block_prefix,
@@ -155,6 +208,7 @@ impl Layout {
         Layout {
             config: prev.config,
             by_addr: address_order(&block_addr, visited),
+            lines: line_range(&block_addr, &block_size),
             block_addr,
             block_size,
             block_prefix,
@@ -166,6 +220,12 @@ impl Layout {
     #[inline]
     pub fn config(&self) -> &LayoutConfig {
         &self.config
+    }
+
+    /// Number of blocks laid out (the program's block count).
+    #[inline]
+    pub fn num_blocks(&self) -> usize {
+        self.block_addr.len()
     }
 
     /// Start address of a block.
@@ -229,19 +289,14 @@ impl Layout {
     /// Every line any block touches falls inside this inclusive range; the
     /// simulator's line interner builds its dense table from it.
     pub fn line_bounds(&self) -> Option<(LineAddr, LineAddr)> {
-        let mut first: Option<Addr> = None;
-        let mut last_end: Option<Addr> = None;
-        for i in 0..self.block_addr.len() {
-            if self.block_size[i] == 0 {
-                continue;
-            }
-            let start = self.block_addr[i];
-            let end = start.wrapping_add(u64::from(self.block_size[i]));
-            first = Some(first.map_or(start, |f| f.min(start)));
-            last_end = Some(last_end.map_or(end, |l| l.max(end)));
-        }
-        let (first, last_end) = (first?, last_end?);
-        Some((first.line(), Addr::new(last_end.get() - 1).line()))
+        let lines = self.lines;
+        (!lines.is_empty()).then(|| (lines.line(0), lines.line(lines.len() - 1)))
+    }
+
+    /// [`Layout::line_bounds`] as a dense index space for per-line tables.
+    #[inline]
+    pub fn line_range(&self) -> LineRange {
+        self.lines
     }
 
     /// Resolves a [`CodeLoc`] (block + offset into *original* instruction
@@ -282,6 +337,29 @@ impl Layout {
         let raw_off = addr.get() - start.get();
         let offset = raw_off.saturating_sub(prefix) as u32;
         Some(CodeLoc::new(BlockId::new(i as u32), offset))
+    }
+}
+
+/// The lines touched by blocks of the given addresses and sizes: from the
+/// lowest block start to the highest block end, skipping empty blocks.
+fn line_range(block_addr: &[Addr], block_size: &[u32]) -> LineRange {
+    let mut first: Option<Addr> = None;
+    let mut last_end: Option<Addr> = None;
+    for (&start, &size) in block_addr.iter().zip(block_size) {
+        if size == 0 {
+            continue;
+        }
+        let end = start.wrapping_add(u64::from(size));
+        first = Some(first.map_or(start, |f| f.min(start)));
+        last_end = Some(last_end.map_or(end, |l| l.max(end)));
+    }
+    let (Some(first), Some(last_end)) = (first, last_end) else {
+        return LineRange::default();
+    };
+    let (first, last) = (first.line(), Addr::new(last_end.get() - 1).line());
+    LineRange {
+        first: first.index(),
+        len: (last.index() - first.index() + 1) as usize,
     }
 }
 

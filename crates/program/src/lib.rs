@@ -53,9 +53,9 @@ pub use error::ValidateProgramError;
 pub use function::{CodeKind, Function};
 pub use ids::{BlockId, CodeLoc, FuncId};
 pub use inst::{InstKind, Instruction, INVALIDATE_BYTES};
-pub use layout::{Layout, LayoutConfig};
+pub use layout::{Layout, LayoutConfig, LineRange};
 pub use program::{Program, ProgramBuilder, Successors};
 pub use rewrite::{
     identity_rewrite, line_origins, patch_invalidates, rewrite, rewrite_incremental, Injection,
-    InjectionPlan, LineMapper, Rewritten, NOOP_LINE,
+    InjectionPlan, LineMapper, LineOrigins, Rewritten, NOOP_LINE,
 };

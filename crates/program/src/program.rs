@@ -342,6 +342,32 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{line_origins, Layout, LayoutConfig, LineAddr, LineMapper};
+
+    /// A program without code bytes cannot be built (the builder rejects
+    /// empty functions and blocks), but the linker and the dense line
+    /// tables must still handle one: no line bounds, no origins, and an
+    /// identity mapper.
+    #[test]
+    fn program_without_code_bytes_has_no_lines() {
+        let program = Program {
+            functions: Vec::new(),
+            blocks: Vec::new(),
+            entry: FuncId::new(0),
+        };
+        let layout = Layout::new(&program, &LayoutConfig::default());
+        assert_eq!(layout.line_bounds(), None);
+        assert!(layout.line_range().is_empty());
+        assert_eq!(layout.footprint_lines(), 0);
+        let line = LayoutConfig::default().base_addr.line();
+        let origins = line_origins(&program, &layout);
+        assert_eq!(origins.get(line), None);
+        assert_eq!(origins.iter().count(), 0);
+        let mapper = LineMapper::new(&program, &layout, &layout);
+        assert!(mapper.is_empty());
+        assert_eq!(mapper.map(line), line);
+        assert_eq!(mapper.map(LineAddr::new(u64::MAX)), LineAddr::new(u64::MAX));
+    }
 
     fn two_function_program() -> Program {
         let mut b = ProgramBuilder::new();

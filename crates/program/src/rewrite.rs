@@ -10,10 +10,10 @@ use std::collections::{HashMap, HashSet};
 
 use ripple_json::{object, FromJson, JsonError, ToJson, Value};
 
-use crate::addr::{lines_spanning, LineAddr, CACHE_LINE_BYTES};
+use crate::addr::{Addr, LineAddr, CACHE_LINE_BYTES};
 use crate::ids::{BlockId, CodeLoc, FuncId};
 use crate::inst::Instruction;
-use crate::layout::{Layout, LayoutConfig};
+use crate::layout::{Layout, LayoutConfig, LineRange};
 use crate::program::Program;
 
 /// One planned injection: when `cue` executes, invalidate the line holding
@@ -119,54 +119,79 @@ impl Extend<Injection> for InjectionPlan {
 ///
 /// A v0 line is followed through its first *code* byte: the block and
 /// original-instruction offset holding that byte are located in v0, then
-/// resolved against v1. Lines containing no code (alignment padding) map to
-/// themselves.
+/// resolved against v1. Lines containing no code (alignment padding, or
+/// anything outside the v0 text segment) map to themselves.
+///
+/// The table is dense over v0's [`LineRange`]: one slot per line, with
+/// padding lines holding an unmapped sentinel.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LineMapper {
-    map: HashMap<LineAddr, LineAddr>,
+    lines: LineRange,
+    map: Vec<LineAddr>,
 }
+
+/// The mapper slot of a v0 line without code bytes.
+const UNMAPPED: LineAddr = NOOP_LINE;
 
 impl LineMapper {
     /// Builds a mapper between two layouts of the same program (same block
     /// ids; v1 may contain injected prefixes).
     pub fn new(program: &Program, old_layout: &Layout, new_layout: &Layout) -> Self {
-        let mut map = HashMap::new();
-        for block in program.blocks() {
-            let id = block.id();
-            let start = old_layout.block_addr(id);
-            let size = u64::from(old_layout.block_size(id));
-            if size == 0 {
-                continue;
-            }
-            for line in crate::addr::lines_spanning(start, size) {
-                // First code byte of this line within this block.
-                let line_base = line.base_addr();
-                let first_byte = line_base.max(start);
-                // Only the block owning the line's first in-code byte
-                // defines the mapping; earlier blocks win.
-                map.entry(line).or_insert_with(|| {
-                    let offset = (first_byte.get() - start.get()) as u32;
-                    new_layout.line_of(CodeLoc::new(id, offset))
-                });
-            }
+        let origins = line_origins(program, old_layout);
+        LineMapper {
+            lines: origins.lines,
+            map: origins
+                .origins
+                .iter()
+                .map(|o| o.map_or(UNMAPPED, |loc| new_layout.line_of(loc)))
+                .collect(),
         }
-        LineMapper { map }
     }
 
     /// Maps a v0 line to its v1 equivalent (identity for unknown lines).
     #[inline]
     pub fn map(&self, line: LineAddr) -> LineAddr {
-        self.map.get(&line).copied().unwrap_or(line)
+        match self.lines.slot(line).map(|i| self.map[i]) {
+            Some(mapped) if mapped != UNMAPPED => mapped,
+            _ => line,
+        }
     }
 
     /// Number of mapped lines.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.iter().filter(|&&l| l != UNMAPPED).count()
     }
 
     /// Whether any lines are mapped.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+}
+
+/// The [`CodeLoc`] of every text line's first code byte under one layout,
+/// as built by [`line_origins`].
+///
+/// Dense over the layout's [`LineRange`]; padding lines and lines outside
+/// the text segment have no origin.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LineOrigins {
+    lines: LineRange,
+    origins: Vec<Option<CodeLoc>>,
+}
+
+impl LineOrigins {
+    /// The origin of `line`, or `None` when no code byte lies in it.
+    #[inline]
+    pub fn get(&self, line: LineAddr) -> Option<CodeLoc> {
+        self.lines.slot(line).and_then(|i| self.origins[i])
+    }
+
+    /// Every line with an origin, in ascending line order.
+    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, CodeLoc)> + '_ {
+        self.origins
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| o.map(|loc| (self.lines.line(i), loc)))
     }
 }
 
@@ -176,25 +201,28 @@ impl LineMapper {
 /// This is how analysis results (victim lines, found in a *profiled*
 /// layout) are expressed in layout-independent terms so they survive the
 /// relinking that injection causes. Lines spanning two blocks are owned by
-/// the block holding their first code byte.
-pub fn line_origins(program: &Program, layout: &Layout) -> HashMap<LineAddr, CodeLoc> {
-    let mut map = HashMap::new();
+/// the block holding their first code byte; when blocks share that byte's
+/// line, the first block in program (id) order owns it.
+pub fn line_origins(program: &Program, layout: &Layout) -> LineOrigins {
+    let lines = layout.line_range();
+    let mut origins = vec![None; lines.len()];
     for block in program.blocks() {
         let id = block.id();
-        let start = layout.block_addr(id);
-        let size = u64::from(layout.block_size(id));
-        if size == 0 {
-            continue;
-        }
-        for line in crate::addr::lines_spanning(start, size) {
-            let first_byte = line.base_addr().max(start);
-            map.entry(line).or_insert_with(|| {
-                let offset = (first_byte.get() - start.get()) as u32;
-                CodeLoc::new(id, offset)
-            });
+        for line in layout.lines_of_block(id) {
+            let slot = &mut origins[lines.offset(line)];
+            if slot.is_none() {
+                *slot = Some(origin_in(layout, id, line));
+            }
         }
     }
-    map
+    LineOrigins { lines, origins }
+}
+
+/// Block `id`'s first code byte in `line`, one of the block's lines.
+fn origin_in(layout: &Layout, id: BlockId, line: LineAddr) -> CodeLoc {
+    let start = layout.block_addr(id);
+    let first_byte = line.base_addr().max(start);
+    CodeLoc::new(id, (first_byte.get() - start.get()) as u32)
 }
 
 /// Result of [`rewrite`]: the rewritten program, its new layout, and the
@@ -367,27 +395,24 @@ pub fn rewrite_incremental(
         if v0_end == v0_start {
             continue; // no code bytes, no mapped lines
         }
+        // Functions never share a line, so this function's v0 lines are
+        // one contiguous run of mapper slots.
+        let lines = mapper.lines;
+        let slots =
+            lines.offset(v0_start.line())..lines.offset(Addr::new(v0_end.get() - 1).line()) + 1;
         if dirty_funcs.contains(&func.id()) {
             // Recompute this function's lines from scratch. Blocks iterate
             // in id order (ties on shared lines go to the lowest id, as in
-            // LineMapper::new, which walks the whole program by id).
+            // line_origins, which walks the whole program by id).
             let mut ids: Vec<BlockId> = blocks.to_vec();
             ids.sort_unstable();
-            for line in lines_spanning(v0_start, v0_end.get() - v0_start.get()) {
-                mapper.map.remove(&line);
-            }
+            mapper.map[slots.clone()].fill(UNMAPPED);
             for &bid in &ids {
-                let start = old_layout.block_addr(bid);
-                let size = u64::from(old_layout.block_size(bid));
-                if size == 0 {
-                    continue;
-                }
-                for line in lines_spanning(start, size) {
-                    let first_byte = line.base_addr().max(start);
-                    mapper.map.entry(line).or_insert_with(|| {
-                        let offset = (first_byte.get() - start.get()) as u32;
-                        new_layout.line_of(CodeLoc::new(bid, offset))
-                    });
+                for line in old_layout.lines_of_block(bid) {
+                    let slot = &mut mapper.map[lines.offset(line)];
+                    if *slot == UNMAPPED {
+                        *slot = new_layout.line_of(origin_in(old_layout, bid, line));
+                    }
                 }
             }
         } else {
@@ -402,8 +427,8 @@ pub fn rewrite_incremental(
             if delta_lines == 0 {
                 continue;
             }
-            for line in lines_spanning(v0_start, v0_end.get() - v0_start.get()) {
-                if let Some(mapped) = mapper.map.get_mut(&line) {
+            for mapped in &mut mapper.map[slots] {
+                if *mapped != UNMAPPED {
                     *mapped = LineAddr::new(mapped.index().wrapping_add(delta_lines));
                 }
             }
@@ -625,6 +650,48 @@ mod tests {
         let rw = rewrite(&p, &layout, &plan);
         let b1_new_line = rw.layout.block_addr(BlockId::new(1)).line();
         assert_eq!(rw.mapper.map(b1_old_line), b1_new_line);
+    }
+
+    #[test]
+    fn lines_without_code_have_no_origin_and_map_to_themselves() {
+        // 128-byte function alignment: f0 fills part of the first line,
+        // the second line is padding, and f1 takes the third and fourth.
+        let p = multi_function_program(&[&[40], &[100]]);
+        let config = LayoutConfig {
+            function_align: 128,
+            ..LayoutConfig::default()
+        };
+        let layout = Layout::new(&p, &config);
+        let rw = rewrite(&p, &layout, &[inj(1, 0, 0)].into_iter().collect());
+        let origins = line_origins(&p, &layout);
+        let (first, last) = layout.line_bounds().unwrap();
+        assert_eq!(layout.line_range().len(), 4);
+        let padding = first.next();
+        for line in [
+            LineAddr::new(0),
+            LineAddr::new(first.index() - 1),
+            padding,
+            last.next(),
+        ] {
+            assert_eq!(origins.get(line), None, "{line}");
+            assert_eq!(rw.mapper.map(line), line, "{line}");
+        }
+        assert_eq!(origins.iter().count(), 3);
+        assert_eq!(rw.mapper.len(), 3);
+        assert_eq!(origins.get(first), Some(CodeLoc::new(BlockId::new(0), 0)));
+    }
+
+    #[test]
+    fn line_shared_by_two_blocks_belongs_to_the_first() {
+        // Blocks of 40 and 60 bytes: the first line holds bytes of both,
+        // and block 0 (lower id, first code byte) owns it; the second line
+        // starts 24 bytes into block 1.
+        let p = linear_program(&[40, 60]);
+        let layout = Layout::new(&p, &LayoutConfig::default());
+        let origins = line_origins(&p, &layout);
+        let (first, last) = layout.line_bounds().unwrap();
+        assert_eq!(origins.get(first), Some(CodeLoc::new(BlockId::new(0), 0)));
+        assert_eq!(origins.get(last), Some(CodeLoc::new(BlockId::new(1), 24)));
     }
 
     #[test]

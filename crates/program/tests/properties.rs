@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use ripple_program::{
     lines_spanning, rewrite, rewrite_incremental, Addr, BlockId, CodeKind, CodeLoc, Injection,
-    InjectionPlan, Instruction, Layout, LayoutConfig, LineMapper, Program, ProgramBuilder,
-    CACHE_LINE_BYTES,
+    InjectionPlan, Instruction, Layout, LayoutConfig, LineAddr, LineMapper, Program,
+    ProgramBuilder, CACHE_LINE_BYTES,
 };
 
 /// A plan injecting at `picks` (cue, victim) block indices, reduced modulo
@@ -48,6 +48,14 @@ fn assert_loc_of_addr_matches_scan(layout: &Layout, num_blocks: usize) {
             a
         );
     }
+}
+
+/// The reference for `Layout::line_bounds`: a scan over every block's
+/// lines.
+fn line_bounds_by_scan(layout: &Layout, num_blocks: usize) -> Option<(LineAddr, LineAddr)> {
+    let lines = (0..num_blocks as u32).flat_map(|b| layout.lines_of_block(BlockId::new(b)));
+    let first = lines.clone().min()?;
+    Some((first, lines.max()?))
 }
 
 /// Strategy: a linear program of 1..=12 functions, each with 1..=8 blocks
@@ -145,6 +153,33 @@ proptest! {
         assert_loc_of_addr_matches_scan(&relinked.layout, n);
     }
 
+    /// The line bounds a layout stores equal a fresh scan of its blocks,
+    /// on the original layout, a rewritten one, and one relinked
+    /// incrementally from it; the line range covers exactly those lines.
+    #[test]
+    fn stored_line_bounds_match_a_block_scan(
+        program in arb_program(),
+        first in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+        second in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+    ) {
+        let n = program.num_blocks();
+        let layout = Layout::new(&program, &LayoutConfig::default());
+        let first = plan_of(&program, &first);
+        let rewritten = rewrite(&program, &layout, &first);
+        let second = plan_of(&program, &second);
+        let relinked =
+            rewrite_incremental(&program, &layout, &second, &first, rewritten.clone());
+        for l in [&layout, &rewritten.layout, &relinked.layout] {
+            let bounds = line_bounds_by_scan(l, n);
+            prop_assert_eq!(l.line_bounds(), bounds);
+            let (lo, hi) = bounds.expect("linear programs have code bytes");
+            let range = l.line_range();
+            prop_assert_eq!(range.len() as u64, hi.index() - lo.index() + 1);
+            prop_assert_eq!(range.slot(lo), Some(0));
+            prop_assert_eq!(range.slot(hi.next()), None);
+        }
+    }
+
     /// Rewriting with an empty plan gives back the same program and the
     /// same layout, on programs of any shape: the pipeline relies on this
     /// to skip relinking empty plans.
@@ -190,7 +225,7 @@ proptest! {
         let origins = ripple_program::line_origins(&program, &layout);
         for inj in plan.injections() {
             let old_line = layout.line_of(inj.victim);
-            let origin = origins[&old_line];
+            let origin = origins.get(old_line).expect("a victim line holds code");
             prop_assert_eq!(mapper.map(old_line), rw.layout.line_of(origin));
         }
     }

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng, StdRng};
+use ripple_obs::NullRecorder;
 use ripple_program::{
     rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig, LineAddr, Program,
 };
@@ -231,26 +232,16 @@ pub fn gen_full_case(seed: u64) -> FullCase {
 }
 
 /// Runs `case` through the production simulator and returns its stats
-/// and full eviction stream. With `captured = Some(shards)`, the session
-/// captures the request stream first and runs at `shards` replay shards,
-/// so the run replays the capture (set-batched for a set-local policy
-/// when `shards > 1`) instead of taking the streaming pass.
+/// and full eviction stream. With `captured`, the session captures the
+/// request stream first, so the run replays the capture in order instead
+/// of taking the streaming pass (offline ideals capture either way).
 pub fn run_path(
     case: &FullCase,
     policy: PolicyKind,
-    captured: Option<usize>,
+    captured: bool,
 ) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
-    let mut config = case.config.clone();
-    if let Some(shards) = captured {
-        config.replay_shards = shards;
-    }
-    let session = SimSession::new(&case.program, &case.layout, &case.trace, config);
-    if captured.is_some() {
-        session.ensure_recorded();
-    }
-    let mut sink = VecSink::new();
-    let stats = session.run_with_sink(policy, &mut sink);
-    (stats, sink.into_events())
+    let (stats, events, _) = run_path_recorded(case, policy, captured, Arc::new(NullRecorder));
+    (stats, events)
 }
 
 /// Runs `case` through the checker-owned [`reference`](crate::reference)
@@ -271,15 +262,16 @@ pub fn run_reference(
     (stats, sink.into_events())
 }
 
-/// The streaming [`run_path`] with an observability recorder attached to
-/// the session. Recorders observe, never feed back: results must be
-/// identical to the unrecorded run, which is exactly what the recorded
-/// dimensions check.
+/// [`run_path`] with an observability recorder attached to the session,
+/// also returning the session's recording passes. Recorders observe,
+/// never feed back: results must be identical to the unrecorded run,
+/// which is exactly what the recorded dimensions check.
 pub fn run_path_recorded(
     case: &FullCase,
     policy: PolicyKind,
+    captured: bool,
     recorder: Arc<dyn ripple_obs::Recorder>,
-) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
+) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>, u32) {
     let session = SimSession::new(
         &case.program,
         &case.layout,
@@ -287,7 +279,10 @@ pub fn run_path_recorded(
         case.config.clone(),
     )
     .with_recorder(recorder);
+    if captured {
+        session.ensure_recorded();
+    }
     let mut sink = VecSink::new();
     let stats = session.run_with_sink(policy, &mut sink);
-    (stats, sink.into_events())
+    (stats, sink.into_events(), session.recording_passes())
 }

@@ -1,9 +1,9 @@
 //! Dimension 3: production vs reference frontend equivalence and warmup
 //! accounting.
 //!
-//! The simulator's three drivers — the streaming pass, the in-order
-//! capture replay and the set-batched replay of a captured stream — must
-//! be observationally identical to the checker-owned
+//! The simulator's two drivers — the streaming pass and the in-order
+//! replay of a captured stream — must be observationally identical to the
+//! checker-owned
 //! [`reference`](crate::reference) frontend: same
 //! [`SimStats`] and the same byte-for-byte eviction stream, for every
 //! policy, prefetcher, eviction mechanism, injected program, and
@@ -97,21 +97,14 @@ fn divergence(
 /// The divergence test applied to one (case, policy) pair.
 fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
     let reference = run_reference(case, policy);
-    let production = run_path(case, policy, None);
+    let production = run_path(case, policy, false);
     if let Some(message) = divergence("production", policy, &production, &reference) {
         return Some(message);
     }
-    // Once the session holds a capture, every policy replays it in order;
-    // a set-local policy at more than one shard replays it set-batched.
-    let captured = run_path(case, policy, Some(1));
+    // Once the session holds a capture, every policy replays it in order.
+    let captured = run_path(case, policy, true);
     if let Some(message) = divergence("capture replay", policy, &captured, &reference) {
         return Some(message);
-    }
-    if policy.replay_set_local() {
-        let batched = run_path(case, policy, Some(2));
-        if let Some(message) = divergence("batched replay", policy, &batched, &reference) {
-            return Some(message);
-        }
     }
     let (si, ei) = production;
 
@@ -122,7 +115,7 @@ fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
             c.config.warmup_fraction = 0.0;
             c
         };
-        let (sc, ec) = run_path(&cold, policy, None);
+        let (sc, ec) = run_path(&cold, policy, false);
         if ec != ei {
             return Some(format!(
                 "warmup changed the eviction stream under {policy:?}: {} cold vs {} warm events",
@@ -206,36 +199,47 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
     Err((message, repro))
 }
 
-/// [`check`] rerun with a live [`MetricsRecorder`] attached: attaching an
-/// observability recorder must leave stats and the full eviction stream
-/// byte-identical to the unrecorded run, and the recorder must actually
-/// have seen the run (at least one `session.run` phase lap).
+/// [`check`] rerun with a live [`MetricsRecorder`] attached, once
+/// streaming and once replaying a capture: attaching an observability
+/// recorder must leave stats and the full eviction stream byte-identical
+/// to the unrecorded run, the recorder must actually have seen the
+/// run (at least one `session.run` phase lap), and the captured
+/// session must have recorded exactly once.
 pub fn check_recorded(seed: u64) -> Result<(), (String, String)> {
     let case = gen_full_case(seed);
     let policy = pick_policy(seed);
-    let (plain_stats, plain_events) = run_path(&case, policy, None);
-    let recorder = Arc::new(MetricsRecorder::new());
-    let (rec_stats, rec_events) = run_path_recorded(&case, policy, recorder.clone());
-    let problem = if rec_stats != plain_stats {
-        Some(format!(
-            "recorder changed the stats under {policy:?}: {}",
-            diff_stats(&plain_stats, &rec_stats)
-        ))
-    } else if rec_events != plain_events {
-        Some(format!(
-            "recorder changed the eviction stream under {policy:?} ({} vs {} events)",
-            plain_events.len(),
-            rec_events.len()
-        ))
-    } else {
-        let snapshot = recorder.snapshot();
-        match snapshot.phase("session.run") {
-            Some(stat) if stat.count > 0 => None,
-            _ => Some(format!(
-                "recorder saw no session.run phase under {policy:?}"
-            )),
+    let (plain_stats, plain_events) = run_path(&case, policy, false);
+    let problem = [false, true].into_iter().find_map(|captured| {
+        let what = if captured { "captured" } else { "streamed" };
+        let recorder = Arc::new(MetricsRecorder::new());
+        let (stats, events, passes) = run_path_recorded(&case, policy, captured, recorder.clone());
+        let laps = recorder
+            .snapshot()
+            .phase("session.run")
+            .map_or(0, |p| p.count);
+        if stats != plain_stats {
+            Some(format!(
+                "recorder changed the {what} stats under {policy:?}: {}",
+                diff_stats(&plain_stats, &stats)
+            ))
+        } else if events != plain_events {
+            Some(format!(
+                "recorder changed the {what} eviction stream under {policy:?} ({} vs {} events)",
+                plain_events.len(),
+                events.len()
+            ))
+        } else if laps == 0 {
+            Some(format!(
+                "recorder saw no {what} session.run phase under {policy:?}"
+            ))
+        } else if captured && passes != 1 {
+            Some(format!(
+                "captured session performed {passes} recording passes under {policy:?}"
+            ))
+        } else {
+            None
         }
-    };
+    });
     problem.map_or(Ok(()), |message| {
         let repro = format!("case: {}\npolicy: {policy:?}\n{message}", case.label);
         Err((message, repro))

@@ -1,4 +1,4 @@
-//! Dimension 9: fleet shard aggregation vs a brute-force oracle.
+//! Dimension 8: fleet shard aggregation vs a brute-force oracle.
 //!
 //! `ripple-fleet` merges per-instance trace shards into a weighted
 //! per-service profile with [`merge_weighted_counts`]. The semantics it

@@ -1,4 +1,4 @@
-//! Dimension 10: declarative lab experiments vs brute-force oracles.
+//! Dimension 9: declarative lab experiments vs brute-force oracles.
 //!
 //! `ripple-lab` expands an [`Experiment`]'s parameter grid and executes it
 //! on the shared harness with a byte-determinism promise. This dimension
@@ -71,11 +71,6 @@ fn gen_declaration(rng: &mut StdRng) -> Experiment {
         ripple_underlying,
         thresholds,
         fault_modes: pick_names(rng, &["none", "bitflip"], 2),
-        replay_shards: {
-            let pool = [1usize, 2, 4];
-            let n = rng.gen_range(1..=2usize);
-            (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
-        },
     }
 }
 
@@ -106,7 +101,6 @@ fn gen_tiny_declaration(rng: &mut StdRng) -> Experiment {
         } else {
             vec!["none".to_string()]
         },
-        replay_shards: vec![1],
     }
 }
 
@@ -129,8 +123,7 @@ fn expansion_violation(decl: &Experiment) -> Option<String> {
         && dup_free(&resolved.policies)
         && dup_free(&resolved.ripple_underlying)
         && dup_free(&resolved.thresholds)
-        && dup_free(&resolved.fault_modes)
-        && dup_free(&resolved.replay_shards))
+        && dup_free(&resolved.fault_modes))
     {
         return Some("a resolved axis still contains duplicates".to_string());
     }
@@ -138,13 +131,12 @@ fn expansion_violation(decl: &Experiment) -> Option<String> {
     let points = resolved.expand();
     // The grid's shape, decoded per index with mixed-radix arithmetic —
     // an independent formulation of "cartesian product in nested
-    // declaration order, replay shards innermost".
+    // declaration order, fault modes innermost".
     let dims = [
         resolved.profiles.len(),
         resolved.apps.len(),
         resolved.prefetchers.len(),
         resolved.fault_modes.len(),
-        resolved.replay_shards.len(),
     ];
     let expected: usize = dims.iter().product();
     if points.len() != expected || points.len() != resolved.num_points() {
@@ -156,8 +148,6 @@ fn expansion_violation(decl: &Experiment) -> Option<String> {
     }
     for (i, p) in points.iter().enumerate() {
         let mut rest = i;
-        let shard = rest % dims[4];
-        rest /= dims[4];
         let fault = rest % dims[3];
         rest /= dims[3];
         let pf = rest % dims[2];
@@ -168,7 +158,6 @@ fn expansion_violation(decl: &Experiment) -> Option<String> {
             || p.app != resolved.apps[app]
             || p.prefetcher != resolved.prefetchers[pf]
             || p.fault != resolved.fault_modes[fault]
-            || p.replay_shards != resolved.replay_shards[shard]
         {
             return Some(format!("point {i} disagrees with its mixed-radix decoding"));
         }

@@ -1,7 +1,7 @@
 //! Differential oracle checker for the Ripple simulator.
 //!
 //! `ripple-check` fuzzes the production simulator against small executable
-//! models in ten independent dimensions:
+//! models in nine independent dimensions:
 //!
 //! 1. [`model_cache`] — a brute-force associative cache model cross-checked
 //!    against [`ripple_sim::Cache`] for LRU, SRRIP, DRRIP, and TRRIP,
@@ -11,10 +11,9 @@
 //! 2. [`belady`] — an exhaustive Belady search on short request streams
 //!    that lower-bounds (and, demand-only, pins exactly) the offline ideal
 //!    policies `Opt` and `DemandMin`;
-//! 3. [`equiv`] — the simulator's three drivers (streaming pass, capture
-//!    replay, set-batched replay) vs
-//!    the checker-owned [`reference`](mod@reference) frontend on random
-//!    full simulations (stats *and* eviction streams), plus an
+//! 3. [`equiv`] — the simulator's two drivers (streaming pass and capture
+//!    replay) vs the checker-owned [`reference`](mod@reference) frontend
+//!    on random full simulations (stats *and* eviction streams), plus an
 //!    independent warmup-accounting oracle;
 //! 4. [`threads`] — thread-count invariance of the parallel policy matrix
 //!    and single-shot offline recording;
@@ -28,18 +27,14 @@
 //!    oracle window sets, the dense line tables (access index, origins,
 //!    line mapper) vs the map-based references in [`map_ref`], and
 //!    1-vs-4-thread `RippleOutcome` invariance;
-//! 8. [`shards`] — replay shard-count invariance: stats and eviction
-//!    streams byte-identical at 1, 2, 4 and 7 replay shards for every
-//!    registered policy (set-local families shard, the rest must fall
-//!    back to in-order capture replay unchanged);
-//! 9. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
+//! 8. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
 //!    weighted profile merging must equal physically repeating each shard
 //!    `weight` times in one long trace, independent of shard order, all
 //!    the way through temperature classification;
-//! 10. [`lab`] — declarative experiment grids vs independent oracles:
-//!     mixed-radix index decoding of the expansion, axis dedup,
-//!     JSON round trips, and (on a bounded seed subset) end-to-end
-//!     thread-count byte-determinism of the emitted lab report.
+//! 9. [`lab`] — declarative experiment grids vs independent oracles:
+//!    mixed-radix index decoding of the expansion, axis dedup,
+//!    JSON round trips, and (on a bounded seed subset) end-to-end
+//!    thread-count byte-determinism of the emitted lab report.
 //!
 //! Every case derives from a single `u64` seed. Failures shrink to locally
 //! minimal repros (the vendored proptest stand-in has no shrinking, so
@@ -57,7 +52,6 @@ pub mod map_ref;
 pub mod model_cache;
 pub mod reference;
 pub mod rewrite_eq;
-pub mod shards;
 pub mod shrink;
 pub mod threads;
 pub mod trace_rt;
@@ -79,8 +73,6 @@ pub enum Dimension {
     Faults,
     /// Incremental relink vs full rewrite + dense vs reference analysis.
     Rewrite,
-    /// Replay shard-count invariance of the set-batched replay engine.
-    Shards,
     /// Fleet shard aggregation vs the physical-repetition oracle.
     Fleet,
     /// Declarative lab experiment expansion, round trips and determinism.
@@ -88,7 +80,7 @@ pub enum Dimension {
 }
 
 /// Number of checker dimensions (the length of [`ALL_DIMENSIONS`]).
-pub const NUM_DIMENSIONS: usize = 10;
+pub const NUM_DIMENSIONS: usize = 9;
 
 /// Every dimension, in the order the corpus round-robins them.
 pub const ALL_DIMENSIONS: [Dimension; NUM_DIMENSIONS] = [
@@ -99,7 +91,6 @@ pub const ALL_DIMENSIONS: [Dimension; NUM_DIMENSIONS] = [
     Dimension::TraceRoundTrip,
     Dimension::Faults,
     Dimension::Rewrite,
-    Dimension::Shards,
     Dimension::Fleet,
     Dimension::Lab,
 ];
@@ -115,7 +106,6 @@ impl Dimension {
             Dimension::TraceRoundTrip => "trace-roundtrip",
             Dimension::Faults => "faults",
             Dimension::Rewrite => "rewrite",
-            Dimension::Shards => "shards",
             Dimension::Fleet => "fleet",
             Dimension::Lab => "lab",
         }
@@ -166,7 +156,6 @@ pub fn check_case(dimension: Dimension, case_seed: u64) -> Result<(), Failure> {
         Dimension::TraceRoundTrip => trace_rt::check(case_seed),
         Dimension::Faults => faults::check(case_seed),
         Dimension::Rewrite => rewrite_eq::check(case_seed),
-        Dimension::Shards => shards::check(case_seed),
         Dimension::Fleet => fleet::check(case_seed),
         Dimension::Lab => lab::check(case_seed),
     };
@@ -186,7 +175,6 @@ pub fn check_case_recorded(dimension: Dimension, case_seed: u64) -> Result<(), F
     let outcome = match dimension {
         Dimension::Equivalence => equiv::check_recorded(case_seed),
         Dimension::Threads => threads::check_recorded(case_seed),
-        Dimension::Shards => shards::check_recorded(case_seed),
         _ => return check_case(dimension, case_seed),
     };
     outcome.map_err(|(message, repro)| Failure {

@@ -8,8 +8,7 @@
 //! request generation and the cache walk are one interleaved loop. It
 //! shares only the building blocks with production — [`Cache`], the
 //! policies and the [`BranchPredictor`] — and none of the request
-//! generator, the cache walk, the capture, the bucketing or the batched
-//! replay. Caches speak [`LineId`], so addresses map through the
+//! generator, the cache walk, the capture or its replay. Caches speak [`LineId`], so addresses map through the
 //! *identity* interning (`id == raw line index`), which preserves set
 //! mapping and policy decisions exactly.
 //!

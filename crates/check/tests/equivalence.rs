@@ -1,9 +1,8 @@
 //! Byte-identical equivalence between the production simulator and the
 //! checker-owned reference frontend.
 //!
-//! The simulator's three drivers — the streaming pass, the in-order
-//! capture replay and the set-batched replay of a captured stream — are
-//! internal optimizations: for any
+//! The simulator's two drivers — the streaming pass and the in-order
+//! replay of a captured stream — are internal optimizations: for any
 //! (app, prefetcher, policy) combination they must produce the same
 //! [`SimStats`] as [`ripple_check::reference::run`] *and* an identical
 //! eviction-event stream — same victims, same positions, same
@@ -226,10 +225,9 @@ fn scripted_invalidations_with_warmup_match_reference() {
 #[test]
 fn captured_and_streamed_runs_match_reference_for_every_policy() {
     // Once a session holds a captured stream, every policy replays it in
-    // order instead of streaming, and set-local policies at more than one
-    // shard replay it set-major. All three drivers must be byte-identical
-    // to the reference for every registered policy; the PC-indexed ones
-    // (GHRP, Hawkeye) only pass if the replays reproduce the exact demand
+    // order instead of streaming. Both drivers must be byte-identical to
+    // the reference for every registered policy; the PC-indexed ones
+    // (GHRP, Hawkeye) only pass if the replay reproduces the exact demand
     // and prefetch PCs, including FDIP prefetches issued from *predicted*
     // blocks.
     let app = generate(&AppSpec::tiny(17));
@@ -239,66 +237,79 @@ fn captured_and_streamed_runs_match_reference_for_every_policy() {
         let cfg = small_cfg(prefetcher);
         let captured = SimSession::new(&app.program, &layout, &trace, cfg.clone());
         captured.ensure_recorded();
-        let sharded = SimSession::new(
-            &app.program,
-            &layout,
-            &trace,
-            cfg.clone().with_replay_shards(2),
-        );
-        sharded.ensure_recorded();
         for policy in PolicyKind::all() {
             let slow = reference(&app.program, &layout, &trace, &cfg, policy);
-            let mut sessions = vec![("captured", &captured)];
-            if policy.replay_set_local() {
-                sessions.push(("captured at 2 shards", &sharded));
-            }
-            for (what, session) in sessions {
-                let what = format!("{what}, {}", prefetcher.name());
-                let mut sink = VecSink::new();
-                let stats = session.run_with_sink(policy, &mut sink);
-                assert_eq!(stats, slow.0, "stats diverged: {what}, {}", policy.name());
-                assert_eq!(
-                    sink.into_events(),
-                    slow.1,
-                    "eviction stream diverged: {what}, {}",
-                    policy.name()
-                );
-            }
+            let what = format!("captured, {}", prefetcher.name());
+            let mut sink = VecSink::new();
+            let stats = captured.run_with_sink(policy, &mut sink);
+            assert_eq!(stats, slow.0, "stats diverged: {what}, {}", policy.name());
+            assert_eq!(
+                sink.into_events(),
+                slow.1,
+                "eviction stream diverged: {what}, {}",
+                policy.name()
+            );
             let what = format!("streamed, {}", prefetcher.name());
             assert_matches_reference(&app.program, &layout, &trace, &cfg, policy, &what);
         }
-        for session in [&captured, &sharded] {
-            assert_eq!(
-                session.recording_passes(),
-                1,
-                "all runs must share the one capture"
-            );
-        }
+        assert_eq!(
+            captured.recording_passes(),
+            1,
+            "all runs must share the one capture"
+        );
     }
 }
 
 #[test]
-fn oracles_on_an_unbatchable_geometry_match_reference() {
-    // An L2 whose set count (12) is not a multiple of the L1I's (8) rules
-    // set-batched replay out, so the oracles replay their capture in order
-    // under its future index even when shards are requested. The walk's
-    // request index must line up with the capture's record index for the
-    // result to be exact.
+fn observed_capture_replay_matches_unobserved_for_every_policy() {
+    // A recorder attached to a captured session observes only: every
+    // policy's replay must equal the unobserved session's, and the
+    // observed session must report its single recording pass.
+    let app = generate(&AppSpec::tiny(21));
+    let layout = Layout::new(&app.program, &LayoutConfig::default());
+    let trace = execute(&app.program, &app.model, InputConfig::training(21), 30_000);
+    let cfg = small_cfg(PrefetcherKind::Fdip);
+    let plain = SimSession::new(&app.program, &layout, &trace, cfg.clone());
+    plain.ensure_recorded();
+    let metrics = std::sync::Arc::new(ripple_obs::MetricsRecorder::new());
+    let observed =
+        SimSession::new(&app.program, &layout, &trace, cfg).with_recorder(metrics.clone());
+    observed.ensure_recorded();
+    for policy in PolicyKind::all() {
+        let run = |session: &SimSession| {
+            let mut sink = VecSink::new();
+            (session.run_with_sink(policy, &mut sink), sink.into_events())
+        };
+        assert_eq!(run(&observed), run(&plain), "{}", policy.name());
+    }
+    assert_eq!(observed.recording_passes(), 1);
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("session.recording_passes"), Some(1));
+    assert_eq!(
+        snap.counter("session.runs"),
+        Some(PolicyKind::all().len() as u64)
+    );
+}
+
+#[test]
+fn oracles_on_an_odd_l2_geometry_match_reference() {
+    // An L2 whose set count (12) is not a multiple of the L1I's (8), the
+    // only non-default L2 among these tests. The oracles replay their
+    // capture in order under its future index; the walk's request index
+    // must line up with the capture's record index for the result to be
+    // exact on any geometry.
     let app = generate(&AppSpec::tiny(19));
     let layout = Layout::new(&app.program, &LayoutConfig::default());
     let trace = execute(&app.program, &app.model, InputConfig::training(19), 30_000);
     for prefetcher in [PrefetcherKind::None, PrefetcherKind::Fdip] {
-        for shards in [1, 2] {
-            let mut cfg = small_cfg(prefetcher).with_replay_shards(shards);
-            cfg.l2 = CacheGeometry::new(12 * 64, 1);
-            assert_eq!(cfg.l1i.num_sets(), 8);
-            assert!(!cfg.l2.num_sets().is_multiple_of(cfg.l1i.num_sets()));
-            for policy in [PolicyKind::OPT, PolicyKind::DEMAND_MIN] {
-                let what = format!("unbatchable l2, {}, {shards} shards", prefetcher.name());
-                let run =
-                    assert_matches_reference(&app.program, &layout, &trace, &cfg, policy, &what);
-                assert!(run.0.demand_misses > 0, "non-trivial run: {what}");
-            }
+        let mut cfg = small_cfg(prefetcher);
+        cfg.l2 = CacheGeometry::new(12 * 64, 1);
+        assert_eq!(cfg.l1i.num_sets(), 8);
+        assert!(!cfg.l2.num_sets().is_multiple_of(cfg.l1i.num_sets()));
+        for policy in [PolicyKind::OPT, PolicyKind::DEMAND_MIN] {
+            let what = format!("odd l2, {}", prefetcher.name());
+            let run = assert_matches_reference(&app.program, &layout, &trace, &cfg, policy, &what);
+            assert!(run.0.demand_misses > 0, "non-trivial run: {what}");
         }
     }
 }

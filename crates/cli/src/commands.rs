@@ -35,9 +35,8 @@ usage:
   ripple-cli inspect  <FILE> --app <app>
   ripple-cli simulate <app> [--policy P] [--prefetcher P] [--instructions N]
                             [--trace FILE] [--lossy] [--max-drop-ratio R]
-                            [--replay-shards N] [RUN-FLAGS]
-  ripple-cli compare  <app> [--prefetcher P] [--instructions N]
-                            [--replay-shards N] [RUN-FLAGS]
+                            [RUN-FLAGS]
+  ripple-cli compare  <app> [--prefetcher P] [--instructions N] [RUN-FLAGS]
   ripple-cli optimize <app> [--threshold T] [--prefetcher P] [--underlying P] [--instructions N] [RUN-FLAGS]
   ripple-cli sweep    <app> [--prefetcher P] [--instructions N] [RUN-FLAGS]
   ripple-cli fleet    [--instances N] [--epochs N] [--canary-pct P]
@@ -59,9 +58,6 @@ parallelism; results are identical at any thread count
 --seed S overrides the command's deterministic seed: the training-input
 seed for simulate/compare/optimize/sweep (default: the app spec's own),
 the service seed for fleet, the fault-injector seed for lab
---replay-shards N partitions the L1I sets across N threads during
-captured-stream replay (set-local policies only; others fall back to
-sequential replay); results are byte-identical at any shard count
 --metrics FILE dumps a ripple.run_report.v1 JSON document (phase timings,
 counters, per-job harness timings); --progress prints live k/n
 job-completion lines to stderr
@@ -77,7 +73,7 @@ at any --threads, validated by validate-metrics)
 lab runs a declarative experiment: a JSON grid declaration (a built-in
 name from `lab list`, or a path to a declaration file) expanded over
 apps x target profiles x prefetchers x policies x thresholds x fault
-modes x replay shards and executed on the shared harness; tables print
+modes and executed on the shared harness; tables print
 to stdout, --metrics dumps the deterministic ripple.lab_report.v1
 (byte-identical at any --threads), --out saves the rendered tables
 
@@ -161,14 +157,6 @@ fn parse_policy(name: &str) -> Result<PolicyKind, ArgError> {
 /// seed unless the shared `--seed` flag overrides it.
 fn training_input(app_id: App, common: &CommonRunArgs) -> InputConfig {
     InputConfig::training(common.seed.unwrap_or(app_id.spec().seed))
-}
-
-/// Parses `--replay-shards N` (default 1): how many threads partition
-/// the L1I sets during captured-stream replay. Results are byte-identical
-/// at any shard count; range validation happens in the sim config
-/// builder.
-fn parse_replay_shards(args: &Args) -> Result<usize, ArgError> {
-    args.parse_flag("replay-shards", 1usize)
 }
 
 /// Parses `--threshold T`, rejecting values outside the probability range
@@ -537,16 +525,6 @@ fn lab_describe(args: &Args) -> CmdResult {
         )
     );
     println!(
-        "  replay shards     {}",
-        names(
-            resolved
-                .replay_shards
-                .iter()
-                .map(|n| n.to_string())
-                .collect()
-        )
-    );
-    println!(
         "  grid              {} points x {} runs/point",
         resolved.num_points(),
         resolved.runs_per_point()
@@ -839,7 +817,6 @@ fn simulate_cmd(args: &Args) -> CmdResult {
         "trace",
         "lossy",
         "max-drop-ratio",
-        "replay-shards",
     ]))?;
     let common = CommonRunArgs::extract(args)?;
     let app_id = parse_app(args)?;
@@ -863,7 +840,6 @@ fn simulate_cmd(args: &Args) -> CmdResult {
     let cfg = SimConfig::builder()
         .policy(policy)
         .prefetcher(prefetcher)
-        .replay_shards(parse_replay_shards(args)?)
         .build()
         .map_err(ripple::Error::from)?;
 
@@ -966,17 +942,12 @@ fn faults_cmd(args: &Args) -> CmdResult {
 }
 
 fn compare(args: &Args) -> CmdResult {
-    args.expect_flags(&CommonRunArgs::allowed(&[
-        "prefetcher",
-        "instructions",
-        "replay-shards",
-    ]))?;
+    args.expect_flags(&CommonRunArgs::allowed(&["prefetcher", "instructions"]))?;
     let common = CommonRunArgs::extract(args)?;
     let app_id = parse_app(args)?;
     let budget = args.parse_flag("instructions", 400_000u64)?;
     let prefetcher = parse_prefetcher(args)?;
     let threads = effective_threads(common.threads);
-    let replay_shards = parse_replay_shards(args)?;
     let (recorder, metrics) = build_recorder(&common);
     let wall = std::time::Instant::now();
     let (app, layout, trace) = load(app_id, training_input(app_id, &common), budget)?;
@@ -988,7 +959,6 @@ fn compare(args: &Args) -> CmdResult {
     let temperatures = profile_temperatures(&layout, &trace);
     let mut base_cfg = SimConfig::builder()
         .prefetcher(prefetcher)
-        .replay_shards(replay_shards)
         .build()
         .map_err(ripple::Error::from)?;
     base_cfg.temperatures = Some(Arc::new(temperatures));

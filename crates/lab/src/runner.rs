@@ -274,8 +274,7 @@ fn run_point(
         )));
     }
 
-    let mut base_cfg: SimConfig = point.profile.sim_config().with_prefetcher(point.prefetcher);
-    base_cfg.replay_shards = point.replay_shards;
+    let base_cfg: SimConfig = point.profile.sim_config().with_prefetcher(point.prefetcher);
 
     // The original binary's LRU, ideal-replacement and ideal-cache runs
     // are measured once, and every Ripple evaluation of the point shares

@@ -214,7 +214,6 @@ fn lab_grid_point_matches_direct_pipeline() {
         ripple_underlying: vec!["lru".into(), "random".into()],
         thresholds: vec![THRESHOLD],
         fault_modes: vec!["none".into()],
-        replay_shards: vec![1],
     };
     let resolved = decl.resolve().unwrap();
     let run = run_experiment(&resolved, &LabOptions::default()).unwrap();
@@ -326,7 +325,6 @@ fn lab_threshold_tuning_matches_first_best_scan() {
         ripple_underlying: vec!["lru".into()],
         thresholds: TUNE_THRESHOLDS.to_vec(),
         fault_modes: vec!["none".into()],
-        replay_shards: vec![1],
     };
     let run = run_experiment(&decl.resolve().unwrap(), &LabOptions::default()).unwrap();
     let best = run.outcomes[0]

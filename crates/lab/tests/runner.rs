@@ -6,7 +6,7 @@ use std::sync::Arc;
 use ripple_lab::{builtin, run_experiment, validate_lab_report, LabOptions};
 
 /// The CI smoke declaration at a reduced budget, so the full grid (two
-/// profiles x fault modes x shard counts) stays test-sized.
+/// profiles x fault modes) stays test-sized.
 fn smoke_options(threads: Option<usize>) -> LabOptions {
     LabOptions {
         threads,

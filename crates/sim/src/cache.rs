@@ -71,21 +71,6 @@ pub struct Cache<P: ?Sized + ReplacementPolicy> {
     views: Vec<WayView>,
 }
 
-impl<P: ReplacementPolicy + Clone> Clone for Cache<P> {
-    fn clone(&self) -> Self {
-        Cache {
-            geom: self.geom,
-            num_sets: self.num_sets,
-            set_mask: self.set_mask,
-            line_base: self.line_base,
-            tags: self.tags.clone(),
-            prefetched: self.prefetched.clone(),
-            policy: self.policy.clone(),
-            views: Vec::with_capacity(usize::from(self.geom.assoc)),
-        }
-    }
-}
-
 impl<P: ?Sized + ReplacementPolicy> Cache<P> {
     /// Creates an empty cache whose ids are raw line indexes (identity
     /// interning, `line_base == 0`).

@@ -4,10 +4,9 @@
 //! bit-packed buffer instead of a cache walk: one `u32` per request
 //! (bit 31 = prefetch, low bits = [`LineId`]), per-trace-step bounds, the
 //! FDIP issuer of every prefetch, and the policy-independent post-warmup
-//! counters. Three consumers read it: `FutureIndex::build_packed`, for the
-//! offline-ideal policies, [`ColumnarStream::replay`], which feeds the
-//! requests back in stream order to a cache walk, and
-//! [`bucket_stream`](crate::batch::bucket_stream), for set-batched replay.
+//! counters. Two consumers read it: `FutureIndex::build_packed`, for the
+//! offline-ideal policies, and [`ColumnarStream::replay`], which feeds the
+//! requests back in stream order to a cache walk.
 
 use ripple_obs::Recorder;
 use ripple_program::BlockId;

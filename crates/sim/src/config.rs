@@ -236,13 +236,6 @@ pub struct SimConfig {
     /// policies (currently TRRIP). `None` means every line is warm and
     /// such policies degrade to their unhinted backbone.
     pub temperatures: Option<std::sync::Arc<TemperatureMap>>,
-    /// How many threads replay the captured request stream, partitioning
-    /// L1I sets across them (1 = single-threaded). Results are
-    /// byte-identical for any value: sharding only applies where the
-    /// policy is set-local and the geometry permits, and falls back to
-    /// single-threaded in-order replay otherwise. Only a value above 1
-    /// buckets the capture by set. A perf knob, not a semantic one.
-    pub replay_shards: usize,
 }
 
 impl Default for SimConfig {
@@ -266,7 +259,6 @@ impl Default for SimConfig {
             warmup_fraction: 0.25,
             scripted_invalidations: None,
             temperatures: None,
-            replay_shards: 1,
         }
     }
 }
@@ -281,13 +273,6 @@ impl SimConfig {
     /// Convenience: this configuration with a different prefetcher.
     pub fn with_prefetcher(mut self, prefetcher: PrefetcherKind) -> Self {
         self.prefetcher = prefetcher;
-        self
-    }
-
-    /// Convenience: this configuration with a different replay shard
-    /// count.
-    pub fn with_replay_shards(mut self, replay_shards: usize) -> Self {
-        self.replay_shards = replay_shards;
         self
     }
 
@@ -336,14 +321,6 @@ impl SimConfig {
         finite_in("base_cpi", self.base_cpi, f64::MIN_POSITIVE, 1000.0)?;
         finite_in("stall_exposure", self.stall_exposure, 0.0, 1.0)?;
         finite_in("warmup_fraction", self.warmup_fraction, 0.0, 0.9)?;
-        if self.replay_shards == 0 || self.replay_shards > 1024 {
-            return Err(SimConfigError::OutOfRange {
-                field: "replay_shards",
-                value: self.replay_shards as f64,
-                min: 1.0,
-                max: 1024.0,
-            });
-        }
         if let Some(script) = &self.scripted_invalidations {
             for (i, w) in script.windows(2).enumerate() {
                 if w[0].0 > w[1].0 {
@@ -451,13 +428,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the replay shard count (threads partitioning L1I sets during
-    /// captured-stream replay; results stay byte-identical).
-    pub fn replay_shards(mut self, replay_shards: usize) -> Self {
-        self.config.replay_shards = replay_shards;
-        self
-    }
-
     /// Validates every knob and returns the configuration.
     pub fn build(self) -> Result<SimConfig, SimConfigError> {
         self.config.validate()?;
@@ -560,27 +530,6 @@ mod tests {
         assert!(matches!(
             SimConfig::builder().l3(0, 20).build(),
             Err(BadGeometry { cache: "l3", .. })
-        ));
-    }
-
-    #[test]
-    fn replay_shards_validated() {
-        assert_eq!(SimConfig::default().replay_shards, 1);
-        let cfg = SimConfig::builder().replay_shards(4).build().unwrap();
-        assert_eq!(cfg.replay_shards, 4);
-        assert!(matches!(
-            SimConfig::builder().replay_shards(0).build(),
-            Err(SimConfigError::OutOfRange {
-                field: "replay_shards",
-                ..
-            })
-        ));
-        assert!(matches!(
-            SimConfig::builder().replay_shards(4096).build(),
-            Err(SimConfigError::OutOfRange {
-                field: "replay_shards",
-                ..
-            })
         ));
     }
 

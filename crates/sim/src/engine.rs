@@ -8,51 +8,38 @@
 //! never observe cache contents — so one generated stream is valid for
 //! every policy.
 //!
-//! A run takes one of three drivers, all feeding the same cache walk
-//! (or, set-major, its batched twin):
+//! A run takes one of two drivers, both feeding the same cache walk:
 //!
-//! * **set-batched replay** ([`batch`](crate::batch)): the captured stream,
-//!   bucketed by L1I set once per session and replayed set-major across
-//!   `replay_shards` threads;
 //! * **capture replay**: the captured stream fed back to the cache walk in
 //!   stream order ([`ColumnarStream::replay`]);
 //! * the **streaming pass**: the generator feeds the cache walk directly,
 //!   with no buffer in between.
 //!
-//! The choice reads session state only. A run is batched when sharding was
-//! requested (`replay_shards > 1`), its policy is set-local and the
-//! session's shape permits bucketing: sharding is the only reason to
-//! bucket, since a bucketing pass costs more than a handful of in-order
-//! replays save. Otherwise the run replays the capture whenever one
-//! exists, and streams when none does. Offline-ideal policies (OPT,
-//! Demand-MIN) always capture, because their [`FutureIndex`] is built from
-//! the capture; a set-local policy captures for sharded replay; every
-//! other run uses a capture only if one is already in hand. Callers that
-//! know a session will run several times take the capture up front with
+//! The choice reads session state only: a run replays the capture whenever
+//! the session holds one, and streams when it does not. Offline-ideal
+//! policies (OPT, Demand-MIN) always capture, because their
+//! [`FutureIndex`] is built from the capture; every other run uses a
+//! capture only if one is already in hand. Callers that know a session
+//! will run several times take the capture up front with
 //! [`SimSession::ensure_recorded`], so every later run skips the generator.
 //!
-//! [`SimSession`] shares the capture, its [`FutureIndex`] and its bucketed
-//! form across runs: a policy matrix pays for them at most once per
-//! (program, layout, trace, config). Sessions are `Sync`; one session can
-//! serve runs from many threads concurrently.
+//! [`SimSession`] shares the capture and its [`FutureIndex`] across runs:
+//! a policy matrix pays for them at most once per (program, layout, trace,
+//! config). Sessions are `Sync`; one session can serve runs from many
+//! threads concurrently.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ripple_obs::{time_phase, FieldValue, NullRecorder, PhaseTimer, Recorder};
 use ripple_program::{Layout, Program};
 use ripple_trace::{BbTrace, TraceHealth};
 
-use crate::batch::BucketedStream;
-use crate::cache::Cache;
 use crate::capture::{capture, ColumnarStream, StreamLimitError};
 use crate::config::{PolicyKind, SimConfig};
 use crate::generator::{warmup_until, RequestGenerator};
 use crate::intern::{BlockTable, FetchPlan, LineTable, PlanCache};
-use crate::policy::{
-    build_ideal_policy, build_policy, DemandMinPolicy, FutureIndex, LruPolicy, OptPolicy,
-    ReplacementPolicy,
-};
+use crate::policy::{build_ideal_policy, build_policy, FutureIndex, ReplacementPolicy};
 use crate::sink::{EvictionSink, NullSink};
 use crate::stats::SimStats;
 use crate::walk::{prewarm_l3, CacheWalk};
@@ -67,7 +54,7 @@ struct Recording {
 ///
 /// The session replays any [`PolicyKind`] against the same inputs. It
 /// captures the L1I request stream lazily, at most once — on the first
-/// offline-ideal or sharded run, or on [`SimSession::ensure_recorded`] —
+/// offline-ideal run, or on [`SimSession::ensure_recorded`] —
 /// and shares the capture and its [`FutureIndex`] across runs, including
 /// concurrent runs from multiple threads, since `&self` suffices to run.
 /// Once a capture exists every run replays it instead of regenerating the
@@ -113,19 +100,7 @@ pub struct SimSession<'a> {
     /// Per-block instruction counts and interned invalidate operands.
     blocks: BlockTable,
     recorded: OnceLock<Result<Recording, StreamLimitError>>,
-    /// The captured stream bucketed by L1I set for sharded replay, built
-    /// lazily on the first sharded set-local run; `None` when the
-    /// session's shape rules batching out (see
-    /// [`crate::batch::bucket_stream`]).
-    bucketed: OnceLock<Option<BucketedStream>>,
-    /// The steady-state L3 pre-warm every batched shard starts from, built
-    /// lazily on the first batched run and cloned into each shard.
-    l3_seed: OnceLock<Cache<LruPolicy>>,
     recording_passes: AtomicU32,
-    /// Set once the session has warned on stderr that a `replay_shards`
-    /// request was downgraded to sequential replay, so a policy matrix
-    /// over one session prints the note once, not once per run.
-    shard_note_emitted: AtomicBool,
     /// Observability sink; [`NullRecorder`] (the default) keeps every
     /// instrumented seam on its free path.
     recorder: Arc<dyn Recorder>,
@@ -177,10 +152,7 @@ impl<'a> SimSession<'a> {
             plan,
             blocks,
             recorded: OnceLock::new(),
-            bucketed: OnceLock::new(),
-            l3_seed: OnceLock::new(),
             recording_passes: AtomicU32::new(0),
-            shard_note_emitted: AtomicBool::new(false),
             recorder: Arc::new(NullRecorder),
             trace_health: None,
         }
@@ -287,48 +259,16 @@ impl<'a> SimSession<'a> {
     ) -> Result<SimStats, StreamLimitError> {
         let timer = PhaseTimer::start(&*self.recorder);
         let cfg = self.config.clone().with_policy(policy);
-        let sharded = cfg.replay_shards > 1 && policy.replay_set_local();
         // Oracles always capture: their future index is built from it.
-        // Sharded replay exists only on the batched path, so a sharded
-        // set-local run captures too. Every other run uses a capture if
-        // one is already in hand. A failed online capture streams
-        // instead, which has no u32 position limit.
+        // Every other run uses a capture if one is already in hand, and
+        // streams otherwise, also after a failed capture: streaming has no
+        // u32 position limit.
         let recording = if policy.is_offline_ideal() {
             Some(self.recorded()?)
-        } else if sharded {
-            self.recorded().ok()
         } else {
             self.recorded.get().and_then(|r| r.as_ref().ok())
         };
-        let batched = recording
-            .filter(|_| sharded)
-            .and_then(|rec| Some((rec, self.bucketed(rec)?)));
-        let mut stats = match batched {
-            Some((rec, bucketed)) => self.run_batched(&cfg, rec, bucketed, sink),
-            None => self.run_in_order(&cfg, recording, sink),
-        };
-        if cfg.replay_shards > 1 && batched.is_none() {
-            // The shard request was silently unusable for this run; say so
-            // once (stderr) and always (gauge) instead of quietly running
-            // the sequential path.
-            let reason = if !policy.replay_set_local() {
-                "the policy has no set-local replay state"
-            } else {
-                "the trace or cache geometry is ineligible for set-batched replay \
-                 (set divisibility, line-id width, or stream-size limits)"
-            };
-            if self.recorder.enabled() {
-                self.recorder
-                    .gauge("session.replay_shards_downgraded", cfg.replay_shards as f64);
-            }
-            if !self.shard_note_emitted.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "ripple-sim: --replay-shards {} downgraded to sequential replay for {}: {reason}",
-                    cfg.replay_shards,
-                    policy.name()
-                );
-            }
-        }
+        let mut stats = self.run_walk(&cfg, recording, sink);
         if let Some(health) = self.trace_health {
             stats.dropped_packets = health.dropped_packets;
             stats.resync_events = health.resync_events;
@@ -366,8 +306,7 @@ impl<'a> SimSession<'a> {
     }
 
     /// Forces the shared capture pass (and its [`FutureIndex`]) to run
-    /// now; it otherwise happens lazily on the first offline-ideal or
-    /// sharded run. Lets callers pay the pass up front — before spawning
+    /// now; it otherwise happens lazily on the first offline-ideal run. Lets callers pay the pass up front — before spawning
     /// replay threads, or because the session will run more than once.
     /// Every later run then replays the capture instead of regenerating
     /// the request stream.
@@ -392,13 +331,11 @@ impl<'a> SimSession<'a> {
         self.recorded().map(|_| ())
     }
 
-    /// Drops the captured request stream, its future index and any
-    /// bucketed copy, freeing their memory. Later runs stream, or capture
-    /// again if they need a capture; their results are unchanged.
+    /// Drops the captured request stream and its future index, freeing
+    /// their memory. Later runs stream, or capture again if they need a
+    /// capture; their results are unchanged.
     pub fn release_capture(&mut self) {
         self.recorded = OnceLock::new();
-        self.bucketed = OnceLock::new();
-        self.l3_seed = OnceLock::new();
     }
 
     /// A fresh request generator over this session's trace inputs.
@@ -440,35 +377,13 @@ impl<'a> SimSession<'a> {
             .map_err(|&e| e)
     }
 
-    /// The captured stream bucketed by L1I set, built once per session;
-    /// `None` when the session's shape rules set-batched replay out.
-    fn bucketed(&self, rec: &Recording) -> Option<&BucketedStream> {
-        self.bucketed
-            .get_or_init(|| {
-                time_phase(&*self.recorder, "session.bucket", || {
-                    crate::batch::bucket_stream(
-                        self.trace,
-                        &rec.stream,
-                        &self.config,
-                        &self.table,
-                        &self.blocks,
-                        &rec.future,
-                    )
-                })
-            })
-            .as_ref()
-    }
-
-    /// An in-order run: capture replay when `recording` is present, the
-    /// streaming pass (the request generator feeding the cache walk
-    /// directly) otherwise. Both drive the same [`CacheWalk`].
-    ///
-    /// The walk pre-warms a fresh L3 rather than cloning the session's
-    /// seed: the fill touches only the program's lines, while a clone
-    /// copies the whole L3, which costs more for all but large programs
-    /// and doubled the per-op time of many-small-session workloads such as
-    /// `fleet`.
-    fn run_in_order(
+    /// One run: capture replay when `recording` is present, the streaming
+    /// pass (the request generator feeding the cache walk directly)
+    /// otherwise. Both drive the same [`CacheWalk`], which pre-warms a
+    /// fresh L3 per run: the fill touches only the program's lines, so it
+    /// costs less than copying a shared pre-warmed L3 for all but large
+    /// programs.
+    fn run_walk(
         &self,
         cfg: &SimConfig,
         recording: Option<&Recording>,
@@ -492,70 +407,10 @@ impl<'a> SimSession<'a> {
         };
         walk.finish(base)
     }
-
-    /// Set-batched (and, when configured, sharded) replay of the bucketed
-    /// capture; byte-identical to the streaming pass (the `ripple-check`
-    /// shards dimension asserts this). The two known oracles get
-    /// monomorphized factories so their callbacks inline into the
-    /// set-major loop.
-    fn run_batched(
-        &self,
-        cfg: &SimConfig,
-        rec: &Recording,
-        bucketed: &BucketedStream,
-        sink: &mut dyn EvictionSink,
-    ) -> SimStats {
-        let (geom, future) = (cfg.l1i, &bucketed.future);
-        match cfg.policy {
-            PolicyKind::OPT => self.replay_sets(
-                cfg,
-                rec,
-                bucketed,
-                &|| Box::new(OptPolicy::new(geom, future.clone())),
-                sink,
-            ),
-            PolicyKind::DEMAND_MIN => self.replay_sets(
-                cfg,
-                rec,
-                bucketed,
-                &|| Box::new(DemandMinPolicy::new(geom, future.clone())),
-                sink,
-            ),
-            _ => self.replay_sets(cfg, rec, bucketed, &|| policy_for(cfg, Some(future)), sink),
-        }
-    }
-
-    fn replay_sets<P: ?Sized + ReplacementPolicy>(
-        &self,
-        cfg: &SimConfig,
-        rec: &Recording,
-        bucketed: &BucketedStream,
-        make_policy: &(dyn Fn() -> Box<P> + Sync),
-        sink: &mut dyn EvictionSink,
-    ) -> SimStats {
-        // The steady-state L3 pre-warm depends only on session-level state
-        // (program, plan, geometry — never the policy), so it is built on
-        // the first batched run and cloned into each shard.
-        let l3_seed = self
-            .l3_seed
-            .get_or_init(|| prewarm_l3(self.program, &self.table, &self.plan, &self.config));
-        crate::batch::run_batched(
-            self.layout,
-            cfg,
-            &self.table,
-            bucketed,
-            &rec.stream,
-            l3_seed,
-            make_policy,
-            sink,
-            &*self.recorder,
-        )
-    }
 }
 
-/// A fresh L1I policy for one run: an offline ideal reads `future` (the
-/// index matching the run's request order), an online policy is built from
-/// the config.
+/// A fresh L1I policy for one run: an offline ideal reads the capture's
+/// `future`, an online policy is built from the config.
 fn policy_for(cfg: &SimConfig, future: Option<&Arc<FutureIndex>>) -> Box<dyn ReplacementPolicy> {
     match future {
         Some(future) if cfg.policy.is_offline_ideal() => {
@@ -855,8 +710,7 @@ mod tests {
         );
     }
 
-    /// A scripted-invalidation plan over real interned lines, exercising
-    /// the inval-op bucketing path.
+    /// A scripted-invalidation plan over real interned lines.
     fn small_script(layout: &Layout, trace: &BbTrace) -> Vec<(u64, ripple_program::LineAddr)> {
         let table = crate::intern::LineTable::build(layout);
         let mut script: Vec<(u64, ripple_program::LineAddr)> = (0..200u64)
@@ -871,16 +725,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_capture_replay_and_batched_replay_are_byte_identical() {
+    fn streaming_and_capture_replay_are_byte_identical() {
         // A fresh session streams; one holding a capture replays it in
-        // order at one shard and set-batched at several (set-local
-        // policies only; DRRIP and Random fall back to capture replay).
-        // All three drivers must produce identical stats and identical
+        // order. Both drivers must produce identical stats and identical
         // eviction streams.
         let (p, l, t) = small_setup();
         for pf in [PrefetcherKind::NextLine, PrefetcherKind::Fdip] {
             let mut cfg = small_cfg().with_prefetcher(pf);
             cfg.scripted_invalidations = Some(Arc::new(small_script(&l, &t)));
+            let captured = SimSession::new(&p, &l, &t, cfg.clone());
+            captured.ensure_recorded();
             for kind in [
                 PolicyKind::LRU,
                 PolicyKind::TREE_PLRU,
@@ -888,182 +742,46 @@ mod tests {
                 PolicyKind::DRRIP,
                 PolicyKind::RANDOM,
             ] {
-                let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-                let fresh = SimSession::new(&p, &l, &t, cfg.clone()).with_recorder(metrics.clone());
+                let fresh = SimSession::new(&p, &l, &t, cfg.clone());
                 let mut sink = VecSink::new();
                 let streamed = (fresh.run_with_sink(kind, &mut sink), sink.into_events());
                 assert_eq!(fresh.recording_passes(), 0, "a fresh online run streams");
-                for shards in [1, 2, 7] {
-                    let session =
-                        SimSession::new(&p, &l, &t, cfg.clone().with_replay_shards(shards))
-                            .with_recorder(metrics.clone());
-                    session.ensure_recorded();
-                    let mut sink = VecSink::new();
-                    let replayed = (session.run_with_sink(kind, &mut sink), sink.into_events());
-                    assert_eq!(
-                        streamed.0,
-                        replayed.0,
-                        "{} under {} at {shards} shards",
-                        kind.name(),
-                        pf.name()
-                    );
-                    assert_eq!(
-                        streamed.1,
-                        replayed.1,
-                        "{} under {} at {shards} shards: eviction streams diverge",
-                        kind.name(),
-                        pf.name()
-                    );
-                }
-                // Only the sharded set-local runs bucketed (2 and 7 shards).
-                let buckets = metrics
-                    .snapshot()
-                    .phase("session.bucket")
-                    .map_or(0, |b| b.count);
-                let expected = if kind.replay_set_local() { 2 } else { 0 };
-                assert_eq!(buckets, expected, "{} under {}", kind.name(), pf.name());
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_replay_is_byte_identical_across_shard_counts() {
-        let (p, l, t) = small_setup();
-        let script = small_script(&l, &t);
-        // small_cfg's L1I has 8 sets; 7 shards exercises a ragged
-        // round-robin partition.
-        for kind in [
-            PolicyKind::LRU,
-            PolicyKind::SRRIP,
-            PolicyKind::OPT,
-            PolicyKind::DEMAND_MIN,
-        ] {
-            let run = |shards: usize| {
-                let mut cfg = small_cfg().with_prefetcher(PrefetcherKind::Fdip);
-                cfg.replay_shards = shards;
-                cfg.scripted_invalidations = Some(Arc::new(script.clone()));
-                let session = SimSession::new(&p, &l, &t, cfg);
-                session.ensure_recorded();
                 let mut sink = VecSink::new();
-                let stats = session.run_with_sink(kind, &mut sink);
-                (stats, sink.into_events())
-            };
-            let single = run(1);
-            for shards in [2, 4, 7] {
+                let replayed = (captured.run_with_sink(kind, &mut sink), sink.into_events());
                 assert_eq!(
-                    run(shards),
-                    single,
-                    "{} diverges at {} shards",
+                    streamed.0,
+                    replayed.0,
+                    "{} under {}",
                     kind.name(),
-                    shards
+                    pf.name()
+                );
+                assert_eq!(
+                    streamed.1,
+                    replayed.1,
+                    "{} under {}: eviction streams diverge",
+                    kind.name(),
+                    pf.name()
                 );
             }
+            assert_eq!(captured.recording_passes(), 1);
         }
     }
 
     #[test]
-    fn non_set_local_policies_fall_back_to_sequential_replay() {
-        // DRRIP's global PSEL duel rules set-major order out; with a
-        // capture in hand (and even with shards configured) it replays the
-        // capture in order, exactly as a fresh session streams.
+    fn release_capture_streams_again_with_identical_results() {
         let (p, l, t) = small_setup();
-        let mut cfg = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
-        cfg.replay_shards = 4;
-        for kind in [PolicyKind::DRRIP, PolicyKind::RANDOM] {
-            let frontend = SimSession::new(
-                &p,
-                &l,
-                &t,
-                SimConfig {
-                    replay_shards: 1,
-                    ..cfg.clone()
-                },
-            )
-            .run(kind);
-            let session = SimSession::new(&p, &l, &t, cfg.clone());
-            session.ensure_recorded();
-            assert_eq!(session.run(kind), frontend, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn l3_seed_cloned_once_per_shard() {
-        let (p, l, t) = small_setup();
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 3;
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
-        session.run(PolicyKind::OPT);
-        assert_eq!(
-            metrics.snapshot().counter("session.l3_seed_clones"),
-            Some(3),
-            "batched replay must clone the L3 seed once per shard"
-        );
-        session.run(PolicyKind::DEMAND_MIN);
-        assert_eq!(
-            metrics.snapshot().counter("session.l3_seed_clones"),
-            Some(6)
-        );
-        // The in-order capture replay (non-set-local policy) fills its own
-        // L3 and clones no seed.
-        session.run(PolicyKind::DRRIP);
-        assert_eq!(
-            metrics.snapshot().counter("session.l3_seed_clones"),
-            Some(6)
-        );
-    }
-
-    #[test]
-    fn shard_downgrade_is_reported_for_non_set_local_policy() {
-        // DRRIP cannot shard (global PSEL duel); requesting shards must
-        // surface the downgrade as a gauge instead of silently streaming.
-        let (p, l, t) = small_setup();
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 4;
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
-        session.run(PolicyKind::DRRIP);
-        assert_eq!(
-            metrics.snapshot().gauge("session.replay_shards_downgraded"),
-            Some(4.0),
-            "a non-set-local policy must report the shard downgrade"
-        );
-    }
-
-    #[test]
-    fn shard_downgrade_is_reported_when_set_divisibility_fails() {
-        // A set-local policy with an L2 whose set count is not a multiple
-        // of the L1I's (12 % 8 != 0) rules set-batched replay out; the
-        // downgrade must be reported even though the policy could shard.
-        let (p, l, t) = small_setup();
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 4;
-        cfg.l2 = crate::config::CacheGeometry::new(12 * 64, 1);
-        assert!(!cfg.l2.num_sets().is_multiple_of(cfg.l1i.num_sets()));
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
-        session.run(PolicyKind::LRU);
-        assert_eq!(
-            metrics.snapshot().gauge("session.replay_shards_downgraded"),
-            Some(4.0),
-            "an ineligible geometry must report the shard downgrade"
-        );
-    }
-
-    #[test]
-    fn no_downgrade_gauge_when_sharding_applies() {
-        let (p, l, t) = small_setup();
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 2;
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
-        session.run(PolicyKind::LRU);
-        session.run(PolicyKind::OPT);
-        assert_eq!(
-            metrics.snapshot().gauge("session.replay_shards_downgraded"),
-            None,
-            "an honoured shard request must not report a downgrade"
-        );
+        let mut session = SimSession::new(&p, &l, &t, small_cfg());
+        let opt = session.run(PolicyKind::OPT);
+        let lru = session.run(PolicyKind::LRU);
+        assert_eq!(session.recording_passes(), 1);
+        session.release_capture();
+        // An online run after the release streams: no new capture.
+        assert_eq!(session.run(PolicyKind::LRU), lru);
+        assert_eq!(session.recording_passes(), 1);
+        // An oracle captures again, once.
+        assert_eq!(session.run(PolicyKind::OPT), opt);
+        assert_eq!(session.run(PolicyKind::OPT), opt);
+        assert_eq!(session.recording_passes(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! * the capture ([`capture`](crate::capture)) bit-packs the requests into
 //!   a [`ColumnarStream`](crate::capture::ColumnarStream) for the future
-//!   index, capture replay and set-batched replay;
+//!   index and capture replay;
 //! * the cache walk ([`walk`](crate::walk)) drives the L1I/L2/L3 hierarchy
 //!   with them directly, with no buffer in between (the streaming pass).
 //!

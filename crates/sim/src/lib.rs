@@ -21,11 +21,10 @@
 //! Internally a simulation is one request generator (trace → L1I request
 //! stream: predictor, FDIP runahead, prefetch filter) and one cache walk
 //! (requests → L1I/L2/L3 under a replacement policy). A run either
-//! streams the generator straight into the walk, or — for set-local
-//! policies over a captured stream — replays the capture set-major,
-//! optionally sharded across threads; both are byte-identical. The
-//! independent oracle these paths are checked against lives in the
-//! `ripple-check` crate.
+//! streams the generator straight into the walk or, when the session holds
+//! a capture of the request stream, replays the capture in order through
+//! the same walk; both are byte-identical. The independent oracle these
+//! paths are checked against lives in the `ripple-check` crate.
 //!
 //! Entry points: [`simulate`], [`simulate_with_sink`],
 //! [`simulate_ideal_cache`], [`baseline_and_ideal`], and — for policy
@@ -37,7 +36,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod bpred;
 mod cache;
 mod capture;

@@ -135,34 +135,6 @@ impl FutureIndex {
     pub fn next_prefetch(&self, seq: u64) -> u64 {
         widen(self.next_prefetch[seq as usize])
     }
-
-    /// A copy of this index re-ordered by a replay permutation: entry `j`
-    /// of the result is entry `seq_of[j]` of `self` (`u32::MAX` marks a
-    /// non-record slot and yields [`NEVER`] distances).
-    ///
-    /// The stored *values* are untouched — they remain original-stream
-    /// positions, and set-local policies only compare them — so a
-    /// set-major replay that passes bucket positions as `seq` reads the
-    /// future arrays sequentially instead of randomly.
-    pub(crate) fn permute(&self, seq_of: impl ExactSizeIterator<Item = u32>) -> Arc<Self> {
-        let n = seq_of.len();
-        let mut next_demand = Vec::with_capacity(n);
-        let mut next_prefetch = Vec::with_capacity(n);
-        for s in seq_of {
-            if s == NEVER_32 {
-                next_demand.push(NEVER_32);
-                next_prefetch.push(NEVER_32);
-            } else {
-                next_demand.push(self.next_demand[s as usize]);
-                next_prefetch.push(self.next_prefetch[s as usize]);
-            }
-        }
-        Arc::new(FutureIndex {
-            next_demand,
-            next_prefetch,
-            len: n as u64,
-        })
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -217,12 +189,6 @@ impl OptPolicy {
 impl ReplacementPolicy for OptPolicy {
     fn name(&self) -> &'static str {
         "opt"
-    }
-
-    // Per-(set, way) future distances plus a read-only shared index;
-    // victim choice only compares distances within one set.
-    fn replay_set_local(&self) -> bool {
-        true
     }
 
     fn metadata_bytes(&self, _geom: &CacheGeometry) -> u64 {
@@ -284,11 +250,6 @@ impl DemandMinPolicy {
 impl ReplacementPolicy for DemandMinPolicy {
     fn name(&self) -> &'static str {
         "demand-min"
-    }
-
-    // Same argument as OPT: per-(set, way) state, read-only future index.
-    fn replay_set_local(&self) -> bool {
-        true
     }
 
     fn metadata_bytes(&self, _geom: &CacheGeometry) -> u64 {

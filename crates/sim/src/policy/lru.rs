@@ -44,12 +44,6 @@ impl ReplacementPolicy for LruPolicy {
         "lru"
     }
 
-    // The clock is global but victim selection only *compares* stamps
-    // within one set, and set-major replay preserves per-set stamp order.
-    fn replay_set_local(&self) -> bool {
-        true
-    }
-
     fn metadata_bytes(&self, geom: &CacheGeometry) -> u64 {
         // One bit per line (tree pseudo-LRU), as in Table I.
         geom.num_lines() / 8

@@ -106,24 +106,6 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     fn on_demote(&mut self, set: u32, way: usize) {
         let _ = (set, way);
     }
-
-    /// Whether this policy's decisions depend only on the *per-set order*
-    /// of the events it observes (plus, for offline ideals, the relative
-    /// order of [`FutureIndex`] distances).
-    ///
-    /// Set-local policies may be replayed set-major: the engine buckets
-    /// the recorded request stream by set and replays each set's requests
-    /// contiguously (and possibly on different threads), preserving order
-    /// *within* every set but not across sets. A policy must return `false`
-    /// (the default) if any decision reads state shared across sets — a
-    /// global PSEL duel counter, an RNG advanced per event, a global
-    /// history register — because cross-set replay order would then leak
-    /// into victim choices. Absolute `seq` values must not matter beyond
-    /// comparison: batched replay passes bucket-order positions whose
-    /// relative order within a set matches the sequential run.
-    fn replay_set_local(&self) -> bool {
-        false
-    }
 }
 
 /// Builds the policy named by `config.policy` via its registry

@@ -92,11 +92,6 @@ impl ReplacementPolicy for TreePlruPolicy {
         "tree-plru"
     }
 
-    // Direction bits are per-set; no cross-set state at all.
-    fn replay_set_local(&self) -> bool {
-        true
-    }
-
     fn metadata_bytes(&self, geom: &CacheGeometry) -> u64 {
         // assoc - 1 bits per set ≈ 1 bit per line: Table I's LRU row.
         (geom.num_sets() * (u64::from(geom.assoc) - 1)).div_ceil(8)

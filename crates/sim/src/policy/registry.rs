@@ -69,13 +69,6 @@ impl PolicyId {
         self.descriptor().needs_future_index
     }
 
-    /// Whether the policy's decisions are per-set-order-local, making it
-    /// eligible for set-batched and sharded replay (see
-    /// [`ReplacementPolicy::replay_set_local`]).
-    pub fn replay_set_local(self) -> bool {
-        self.descriptor().set_local
-    }
-
     /// Whether the policy requires offline future knowledge (two-pass
     /// simulation). Alias of [`PolicyId::needs_future_index`], kept for
     /// pre-registry call sites.
@@ -182,11 +175,6 @@ pub struct PolicyDescriptor {
     /// simulation). Must agree with the constructor variant; the registry
     /// rejects descriptors where the two disagree.
     pub needs_future_index: bool,
-    /// Whether the policy's decisions depend only on per-set event order
-    /// ([`ReplacementPolicy::replay_set_local`]), making it eligible for
-    /// set-batched/sharded replay. Must agree with what constructed
-    /// instances report; the registry tests assert it.
-    pub set_local: bool,
     /// One-line description for `ripple policies`.
     pub description: &'static str,
     /// How to build the policy.
@@ -349,7 +337,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::Recency,
             needs_future_index: false,
-            set_local: true,
             description: "least-recently-used (true recency order)",
             constructor: PolicyConstructor::Online(|cfg| Box::new(LruPolicy::new(cfg.l1i))),
         },
@@ -358,7 +345,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &["plru"],
             family: PolicyFamily::Recency,
             needs_future_index: false,
-            set_local: true,
             description: "tree pseudo-LRU (1 bit per line)",
             constructor: PolicyConstructor::Online(|cfg| Box::new(TreePlruPolicy::new(cfg.l1i))),
         },
@@ -367,7 +353,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::Random,
             needs_future_index: false,
-            set_local: false,
             description: "uniform random victim (zero metadata)",
             constructor: PolicyConstructor::Online(|cfg| {
                 Box::new(RandomPolicy::new(cfg.l1i, cfg.random_seed))
@@ -378,7 +363,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::Rrip,
             needs_future_index: false,
-            set_local: true,
             description: "static re-reference interval prediction",
             constructor: PolicyConstructor::Online(|cfg| Box::new(SrripPolicy::new(cfg.l1i))),
         },
@@ -387,7 +371,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::Rrip,
             needs_future_index: false,
-            set_local: false,
             description: "dynamic RRIP with SRRIP/BRRIP set dueling",
             constructor: PolicyConstructor::Online(|cfg| Box::new(DrripPolicy::new(cfg.l1i))),
         },
@@ -396,7 +379,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::PredictiveReuse,
             needs_future_index: false,
-            set_local: false,
             description: "global-history reuse predictor (I-cache specific)",
             constructor: PolicyConstructor::Online(|cfg| Box::new(GhrpPolicy::new(cfg.l1i))),
         },
@@ -405,7 +387,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::PredictiveReuse,
             needs_future_index: false,
-            set_local: false,
             description: "PC classification against simulated Belady-OPT",
             constructor: PolicyConstructor::Online(|cfg| {
                 Box::new(HawkeyePolicy::new(cfg.l1i, false))
@@ -416,7 +397,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::PredictiveReuse,
             needs_future_index: false,
-            set_local: false,
             description: "prefetch-aware Hawkeye (Demand-MIN training)",
             constructor: PolicyConstructor::Online(|cfg| {
                 Box::new(HawkeyePolicy::new(cfg.l1i, true))
@@ -427,7 +407,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::Rrip,
             needs_future_index: false,
-            set_local: false,
             description: "temperature-based RRIP with profile-derived hot/warm/cold hints",
             constructor: PolicyConstructor::Online(|cfg| {
                 Box::new(TrripPolicy::new(cfg.l1i, cfg.temperatures.clone()))
@@ -438,7 +417,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::OfflineIdeal,
             needs_future_index: true,
-            set_local: true,
             description: "offline Belady-OPT ideal (demand-only)",
             constructor: PolicyConstructor::Offline(|geom, future| {
                 Box::new(OptPolicy::new(geom, future))
@@ -449,7 +427,6 @@ pub fn builtin_descriptors() -> &'static [PolicyDescriptor] {
             aliases: &[],
             family: PolicyFamily::OfflineIdeal,
             needs_future_index: true,
-            set_local: true,
             description: "offline revised Demand-MIN ideal (prefetch-aware)",
             constructor: PolicyConstructor::Offline(|geom, future| {
                 Box::new(DemandMinPolicy::new(geom, future))
@@ -523,7 +500,6 @@ mod tests {
                 aliases: &[],
                 family: PolicyFamily::Recency,
                 needs_future_index: false,
-                set_local: true,
                 description: "a",
                 constructor: PolicyConstructor::Online(|cfg| Box::new(LruPolicy::new(cfg.l1i))),
             },
@@ -532,7 +508,6 @@ mod tests {
                 aliases: &["lru"],
                 family: PolicyFamily::Recency,
                 needs_future_index: false,
-                set_local: false,
                 description: "b",
                 constructor: PolicyConstructor::Online(|cfg| Box::new(LruPolicy::new(cfg.l1i))),
             },
@@ -550,7 +525,6 @@ mod tests {
             aliases: &[],
             family: PolicyFamily::OfflineIdeal,
             needs_future_index: true,
-            set_local: false,
             description: "claims offline but constructs online",
             constructor: PolicyConstructor::Online(|cfg| Box::new(LruPolicy::new(cfg.l1i))),
         }];
@@ -575,41 +549,6 @@ mod tests {
         for id in online {
             assert!(!id.is_offline_ideal());
         }
-    }
-
-    #[test]
-    fn set_local_flag_agrees_with_constructed_instances() {
-        // The descriptor's `set_local` is what the engine consults before
-        // building a policy; it must match what the instance itself
-        // reports, for every registered policy.
-        let geom = CacheGeometry::new(4 * 64, 2);
-        let cfg = SimConfig {
-            l1i: geom,
-            ..SimConfig::default()
-        };
-        let future = FutureIndex::build(&[]);
-        for id in PolicyId::all() {
-            let d = id.descriptor();
-            let built = match d.constructor {
-                PolicyConstructor::Online(build) => build(&cfg),
-                PolicyConstructor::Offline(build) => build(geom, future.clone()),
-            };
-            assert_eq!(
-                built.replay_set_local(),
-                d.set_local,
-                "{}: descriptor set_local disagrees with instance",
-                d.name
-            );
-            assert_eq!(id.replay_set_local(), d.set_local);
-        }
-        // Spot-check the intent: recency/RRIP statics and the offline
-        // ideals are set-local; global-state policies are not.
-        assert!(PolicyId::LRU.replay_set_local());
-        assert!(PolicyId::OPT.replay_set_local());
-        assert!(PolicyId::DEMAND_MIN.replay_set_local());
-        assert!(!PolicyId::DRRIP.replay_set_local(), "global PSEL duel");
-        assert!(!PolicyId::RANDOM.replay_set_local(), "global RNG stream");
-        assert!(!PolicyId::GHRP.replay_set_local(), "global history");
     }
 
     #[test]

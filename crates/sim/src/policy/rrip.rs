@@ -148,12 +148,6 @@ impl ReplacementPolicy for SrripPolicy {
         "srrip"
     }
 
-    // RRPVs are per-line and victim aging touches one set; DRRIP's global
-    // PSEL duel is what makes the *dynamic* variants order-sensitive.
-    fn replay_set_local(&self) -> bool {
-        true
-    }
-
     fn metadata_bytes(&self, geom: &CacheGeometry) -> u64 {
         // 2 bits per line (Table I: 128 B for 32 KB / 8-way).
         geom.num_lines() * u64::from(RRPV_BITS) / 8

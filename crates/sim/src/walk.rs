@@ -7,8 +7,6 @@
 //! LRU L2 and the pre-warmed LRU L3: demand hits and misses, prefetch
 //! fills, scripted and injected invalidations, the stall-based timing
 //! model, and the eviction events.
-//! [`batch`](crate::batch) replays the same per-request semantics
-//! set-major over a bucketed capture and shares [`lower_levels`] with it.
 
 use ripple_program::{Addr, BlockId, Layout, LineAddr, Program};
 
@@ -22,14 +20,12 @@ use crate::stats::{EvictionEvent, SimStats};
 
 /// Position sentinel meaning "never" (no demand access / no outstanding
 /// prefetch issue for this line yet).
-pub(crate) const NO_POS: u64 = u64::MAX;
+const NO_POS: u64 = u64::MAX;
 
 /// The steady-state L3 pre-warm every run starts from. The application has
 /// executed long before the measured window, so its text is resident in
 /// the last level cache (the paper's 100 M-instruction steady-state traces
-/// imply the same): first touches cost an L3 hit, not DRAM. It depends
-/// only on session-level state, so batched replay builds it once per
-/// session and clones it per shard.
+/// imply the same): first touches cost an L3 hit, not DRAM.
 pub(crate) fn prewarm_l3(
     program: &Program,
     table: &LineTable,
@@ -50,7 +46,7 @@ pub(crate) fn prewarm_l3(
 /// The L2 → L3 → memory fill path of an L1I miss: looks `id` up in L2 then
 /// L3, filling on the way, and returns the latency of the serving level.
 #[inline]
-pub(crate) fn lower_levels(
+fn lower_levels(
     l2: &mut Cache<LruPolicy>,
     l3: &mut Cache<LruPolicy>,
     stats: &mut SimStats,
@@ -311,5 +307,270 @@ impl<P: ?Sized + ReplacementPolicy> Requests for CacheWalk<'_, P> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CacheGeometry;
+    use crate::sink::VecSink;
+    use ripple_program::{CodeKind, Instruction, LayoutConfig, ProgramBuilder};
+
+    /// A program of one 251-byte block, so its layout spans several
+    /// distinct lines, plus the interned tables a walk reads.
+    struct Fixture {
+        program: Program,
+        layout: Layout,
+        table: LineTable,
+        plan: FetchPlan,
+        blocks: BlockTable,
+    }
+
+    const BLOCK: BlockId = BlockId::new(0);
+
+    fn fixture() -> Fixture {
+        let mut b = ProgramBuilder::new();
+        let f = b.add_function("f", CodeKind::Static);
+        let bb = b.add_block(f);
+        b.push_inst(bb, Instruction::other(250));
+        b.push_inst(bb, Instruction::ret());
+        let program = b.finish(f).unwrap();
+        let layout = Layout::new(&program, &LayoutConfig::default());
+        let table = LineTable::build(&layout);
+        assert!(table.len() >= 3, "the block must span three lines");
+        let plan = FetchPlan::build(&program, &layout, &table);
+        let blocks = BlockTable::build(&program, &table);
+        Fixture {
+            program,
+            layout,
+            table,
+            plan,
+            blocks,
+        }
+    }
+
+    /// A configuration whose L1I and L2 each hold one line, so any two
+    /// distinct lines conflict in both.
+    fn one_line_cfg() -> SimConfig {
+        let mut cfg = SimConfig::default();
+        cfg.l1i = CacheGeometry::new(64, 1);
+        cfg.l2 = CacheGeometry::new(64, 1);
+        cfg
+    }
+
+    fn walk<'a>(
+        fx: &'a Fixture,
+        cfg: &'a SimConfig,
+        warmup_until: u64,
+        sink: &'a mut dyn EvictionSink,
+    ) -> CacheWalk<'a, LruPolicy> {
+        let l3 = prewarm_l3(&fx.program, &fx.table, &fx.plan, cfg);
+        let policy = Box::new(LruPolicy::new(cfg.l1i));
+        CacheWalk::new(
+            &fx.layout,
+            cfg,
+            &fx.table,
+            &fx.blocks,
+            l3,
+            policy,
+            warmup_until,
+            sink,
+        )
+    }
+
+    /// Executes the block at `pos`, demanding `id`.
+    fn demand_at(w: &mut CacheWalk<'_, LruPolicy>, pos: u64, id: LineId) {
+        w.begin_step(pos, BLOCK);
+        w.demand(id);
+        w.end_step(BLOCK).unwrap();
+    }
+
+    const A: LineId = LineId::new(0);
+    const B: LineId = LineId::new(1);
+    const C: LineId = LineId::new(2);
+
+    #[test]
+    fn prewarm_l3_holds_every_fetched_line() {
+        let fx = fixture();
+        let cfg = SimConfig::default();
+        let l3 = prewarm_l3(&fx.program, &fx.table, &fx.plan, &cfg);
+        let lines = fx.plan.lines_of(BLOCK);
+        assert!(!lines.is_empty());
+        for &id in lines {
+            assert!(l3.contains(id), "line {id} not pre-warmed");
+        }
+        assert_eq!(l3.occupancy(), lines.len());
+    }
+
+    #[test]
+    fn lower_levels_serve_from_the_nearest_level_and_fill_on_the_way() {
+        let fx = fixture();
+        let cfg = one_line_cfg();
+        let base = fx.table.line_base();
+        let mut l2 = Cache::with_line_base(cfg.l2, Box::new(LruPolicy::new(cfg.l2)), base);
+        let mut l3 = Cache::with_line_base(cfg.l3, Box::new(LruPolicy::new(cfg.l3)), base);
+        let mut stats = SimStats::default();
+        let mut fetch = |id, stats: &mut SimStats| {
+            lower_levels(&mut l2, &mut l3, stats, &cfg, &fx.table, id, true)
+        };
+        assert_eq!(fetch(A, &mut stats), cfg.mem_latency, "cold: memory");
+        assert_eq!(fetch(A, &mut stats), cfg.l2_latency, "filled into L2");
+        assert_eq!(fetch(B, &mut stats), cfg.mem_latency, "B evicts A from L2");
+        assert_eq!(fetch(A, &mut stats), cfg.l3_latency, "A stayed in L3");
+        assert_eq!(
+            (stats.served_l2, stats.served_l3, stats.served_mem),
+            (1, 1, 2)
+        );
+    }
+
+    #[test]
+    fn lower_levels_fill_without_counting_during_warmup() {
+        let fx = fixture();
+        let cfg = one_line_cfg();
+        let base = fx.table.line_base();
+        let mut l2 = Cache::with_line_base(cfg.l2, Box::new(LruPolicy::new(cfg.l2)), base);
+        let mut l3 = Cache::with_line_base(cfg.l3, Box::new(LruPolicy::new(cfg.l3)), base);
+        let mut stats = SimStats::default();
+        let latency = lower_levels(&mut l2, &mut l3, &mut stats, &cfg, &fx.table, A, false);
+        assert_eq!(latency, cfg.mem_latency);
+        assert_eq!(stats, SimStats::default(), "warmup must count nothing");
+        let latency = lower_levels(&mut l2, &mut l3, &mut stats, &cfg, &fx.table, A, true);
+        assert_eq!(latency, cfg.l2_latency, "the uncounted fetch filled L2");
+        assert_eq!(stats.served_l2, 1);
+    }
+
+    #[test]
+    fn conflicting_demands_evict_with_their_last_demand_position() {
+        let fx = fixture();
+        let cfg = one_line_cfg();
+        let mut sink = VecSink::new();
+        let mut w = walk(&fx, &cfg, 0, &mut sink);
+        demand_at(&mut w, 0, A);
+        demand_at(&mut w, 1, B);
+        demand_at(&mut w, 2, A);
+        let stats = w.stats.clone();
+        drop(w);
+        assert_eq!(stats.demand_misses, 3);
+        assert_eq!(
+            stats.compulsory_misses, 2,
+            "the second miss on A is not compulsory"
+        );
+        assert_eq!(stats.evictions, 2);
+        assert_eq!(stats.prefetch_pollution_evictions, 0);
+        assert_eq!(stats.served_l3, 3, "the pre-warmed L3 serves every L2 miss");
+        let event = |victim, evict_pos, last_access_pos| EvictionEvent {
+            victim: fx.table.line(victim),
+            evict_pos,
+            last_access_pos,
+            by_prefetch: false,
+        };
+        assert_eq!(sink.events(), [event(A, 1, 0), event(B, 2, 1)]);
+    }
+
+    #[test]
+    fn an_unused_prefetch_counts_as_pollution_when_evicted() {
+        let fx = fixture();
+        let cfg = one_line_cfg();
+        let mut sink = VecSink::new();
+        let mut w = walk(&fx, &cfg, 0, &mut sink);
+        demand_at(&mut w, 0, A);
+        w.begin_step(1, BLOCK);
+        w.prefetch(B, BLOCK);
+        w.end_step(BLOCK).unwrap();
+        demand_at(&mut w, 2, C);
+        let stats = w.stats.clone();
+        drop(w);
+        assert_eq!(stats.prefetch_fills, 1);
+        assert_eq!(stats.evictions, 2);
+        assert_eq!(stats.prefetch_pollution_evictions, 1);
+        let events = sink.events();
+        assert_eq!(events.len(), 2);
+        assert!(events[0].by_prefetch, "the prefetch fill evicted A");
+        assert_eq!(events[0].last_access_pos, 0);
+        assert!(!events[1].by_prefetch, "the demand on C evicted B");
+        assert_eq!(events[1].victim, fx.table.line(B));
+        assert_eq!(events[1].last_access_pos, NO_POS, "B was never demanded");
+    }
+
+    #[test]
+    fn a_timely_prefetch_charges_only_the_unhidden_latency() {
+        let fx = fixture();
+        let mut cfg = SimConfig::default();
+        cfg.prefetch_timeliness_blocks = 4;
+        let mut sink = VecSink::new();
+        let mut w = walk(&fx, &cfg, 0, &mut sink);
+        // A is demanded one block after its prefetch: 3/4 of the L2
+        // latency is still exposed.
+        w.begin_step(0, BLOCK);
+        w.prefetch(A, BLOCK);
+        w.end_step(BLOCK).unwrap();
+        demand_at(&mut w, 1, A);
+        let expected = f64::from(cfg.l2_latency) * 0.75 * cfg.stall_exposure;
+        assert!(
+            (w.stall_cycles - expected).abs() < 1e-9,
+            "{}",
+            w.stall_cycles
+        );
+        // B is demanded a full window after its prefetch: fully hidden.
+        w.begin_step(2, BLOCK);
+        w.prefetch(B, BLOCK);
+        w.end_step(BLOCK).unwrap();
+        demand_at(&mut w, 6, B);
+        assert!(
+            (w.stall_cycles - expected).abs() < 1e-9,
+            "{}",
+            w.stall_cycles
+        );
+        assert_eq!(w.stats.demand_misses, 0);
+        assert_eq!(w.stats.prefetch_fills, 2);
+    }
+
+    #[test]
+    fn scripted_invalidations_apply_before_their_block() {
+        let fx = fixture();
+        let mut cfg = SimConfig::default();
+        cfg.scripted_invalidations = Some(std::sync::Arc::new(vec![
+            (1, fx.table.line(A)),
+            (3, fx.table.line(B)),
+        ]));
+        let mut sink = VecSink::new();
+        let mut w = walk(&fx, &cfg, 0, &mut sink);
+        demand_at(&mut w, 0, A);
+        // The invalidation at position 1 removes A before A is fetched.
+        demand_at(&mut w, 1, A);
+        assert_eq!(w.stats.invalidate_hits, 1);
+        assert_eq!(w.stats.demand_misses, 2);
+        assert_eq!(w.stats.compulsory_misses, 1);
+        // B was never fetched, so its invalidation finds nothing.
+        demand_at(&mut w, 3, A);
+        assert_eq!(w.stats.invalidate_hits, 1);
+        assert_eq!(w.stats.demand_misses, 2);
+        drop(w);
+        assert!(
+            sink.events().is_empty(),
+            "an invalidation is not an eviction"
+        );
+    }
+
+    #[test]
+    fn warmup_updates_cache_state_but_not_counters() {
+        let fx = fixture();
+        let cfg = one_line_cfg();
+        let mut sink = VecSink::new();
+        let mut w = walk(&fx, &cfg, 2, &mut sink);
+        demand_at(&mut w, 0, A);
+        demand_at(&mut w, 1, B);
+        assert_eq!(w.stats, SimStats::default(), "warmup counts nothing");
+        assert_eq!(w.stall_cycles, 0.0);
+        demand_at(&mut w, 2, B);
+        assert_eq!(w.stats.demand_misses, 0, "B was filled during warmup");
+        demand_at(&mut w, 3, A);
+        let stats = w.stats.clone();
+        drop(w);
+        assert_eq!(stats.demand_misses, 1);
+        assert_eq!(stats.compulsory_misses, 0, "A was first touched in warmup");
+        assert_eq!(stats.evictions, 1);
+        assert_eq!(sink.events().len(), 2, "the sink sees warmup evictions too");
     }
 }

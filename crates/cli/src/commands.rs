@@ -41,7 +41,7 @@ usage:
   ripple-cli sweep    <app> [--prefetcher P] [--instructions N] [RUN-FLAGS]
   ripple-cli fleet    [--instances N] [--epochs N] [--canary-pct P]
                       [--shard-instructions N] [--drift-epoch E] [--gate-pct P]
-                      [--poison-instance I] [--retry-attempts N] [RUN-FLAGS]
+                      [--poison-instance I] [RUN-FLAGS]
   ripple-cli lab      list
   ripple-cli lab      describe <experiment>
   ripple-cli lab      run <experiment> [--instructions N] [--out FILE] [RUN-FLAGS]
@@ -279,6 +279,19 @@ fn write_metrics(
     Ok(())
 }
 
+/// A metrics report that failed validation. It exits with the usage code,
+/// but the command line was fine, so the usage text is not printed.
+#[derive(Debug)]
+pub struct InvalidReport(pub String);
+
+impl std::fmt::Display for InvalidReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Error for InvalidReport {}
+
 /// Validates a `--metrics` dump: parses it with ripple-json, dispatches
 /// on the document's `schema` tag (run reports vs fleet reports), and
 /// checks the required phase set (inferred from the report's `command`
@@ -306,15 +319,15 @@ fn validate_metrics(args: &Args) -> CmdResult {
         }
     };
     let text = fs::read_to_string(path)?;
-    let report =
-        ripple_json::parse(&text).map_err(|e| ArgError(format!("{path}: not valid JSON: {e}")))?;
+    let report = ripple_json::parse(&text)
+        .map_err(|e| InvalidReport(format!("{path}: not valid JSON: {e}")))?;
     let tag = match forced {
         Some(tag) => tag,
-        None => SchemaTag::of_report(&report).map_err(|e| ArgError(format!("{path}: {e}")))?,
+        None => SchemaTag::of_report(&report).map_err(|e| InvalidReport(format!("{path}: {e}")))?,
     };
     match tag {
         SchemaTag::Fleet => {
-            validate_fleet_report(&report).map_err(|e| ArgError(format!("{path}: {e}")))?;
+            validate_fleet_report(&report).map_err(|e| InvalidReport(format!("{path}: {e}")))?;
             println!(
                 "{path}: valid {} report, all {} fleet phases present",
                 SchemaTag::Fleet.as_str(),
@@ -322,7 +335,7 @@ fn validate_metrics(args: &Args) -> CmdResult {
             );
         }
         SchemaTag::Lab => {
-            validate_lab_report(&report).map_err(|e| ArgError(format!("{path}: {e}")))?;
+            validate_lab_report(&report).map_err(|e| InvalidReport(format!("{path}: {e}")))?;
             println!(
                 "{path}: valid {} report, all {} lab phases present",
                 SchemaTag::Lab.as_str(),
@@ -338,7 +351,8 @@ fn validate_metrics(args: &Args) -> CmdResult {
                     _ => PIPELINE_PHASES,
                 },
             };
-            validate_run_report(&report, required).map_err(|e| ArgError(format!("{path}: {e}")))?;
+            validate_run_report(&report, required)
+                .map_err(|e| InvalidReport(format!("{path}: {e}")))?;
             println!(
                 "{path}: valid {} report, all {} required phases timed",
                 SchemaTag::Run.as_str(),
@@ -363,7 +377,6 @@ fn fleet_cmd(args: &Args) -> CmdResult {
         "drift-epoch",
         "gate-pct",
         "poison-instance",
-        "retry-attempts",
     ]))?;
     let common = CommonRunArgs::extract(args)?;
     let defaults = FleetConfig::default();
@@ -386,7 +399,6 @@ fn fleet_cmd(args: &Args) -> CmdResult {
         drift_epoch: parse_opt("drift-epoch")?,
         regression_gate_pct: args.parse_flag("gate-pct", defaults.regression_gate_pct)?,
         poison_instance: parse_opt("poison-instance")?.map(|p| p as usize),
-        retry_attempts: args.parse_flag("retry-attempts", defaults.retry_attempts)?,
     };
     let recorder: Arc<dyn Recorder> = if common.progress {
         Arc::new(ProgressRecorder::default())

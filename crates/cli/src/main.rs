@@ -39,7 +39,7 @@ const EXIT_JOB_PANIC: u8 = 4;
 /// Maps an error to its documented exit code by walking the concrete
 /// error types the commands surface.
 fn exit_code_for(e: &(dyn Error + 'static)) -> u8 {
-    if e.is::<args::ArgError>() {
+    if e.is::<args::ArgError>() || e.is::<commands::InvalidReport>() {
         return EXIT_USAGE;
     }
     if let Some(err) = e.downcast_ref::<ripple::Error>() {
@@ -72,16 +72,25 @@ fn exit_code_for(e: &(dyn Error + 'static)) -> u8 {
     1
 }
 
+/// What a failed command prints to stderr, and its exit code: the error,
+/// then the usage text when the command line was at fault.
+fn failure_report(e: &(dyn Error + 'static)) -> (String, u8) {
+    let code = exit_code_for(e);
+    let mut text = format!("error: {e}");
+    if code == EXIT_USAGE && !e.is::<commands::InvalidReport>() {
+        text.push('\n');
+        text.push_str(&commands::usage());
+    }
+    (text, code)
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            let code = exit_code_for(e.as_ref());
-            if code == EXIT_USAGE {
-                eprintln!("{}", commands::usage());
-            }
+            let (text, code) = failure_report(e.as_ref());
+            eprintln!("{text}");
             ExitCode::from(code)
         }
     }
@@ -114,7 +123,6 @@ mod tests {
         let job = ripple::JobError {
             scope: "sweep".into(),
             index: 3,
-            attempts: 1,
             panic_message: "boom".into(),
         };
         assert_eq!(exit_code_for(boxed(job.clone()).as_ref()), EXIT_JOB_PANIC);
@@ -139,6 +147,26 @@ mod tests {
             ),
             EXIT_USAGE
         );
+    }
+
+    #[test]
+    fn an_invalid_report_prints_the_error_alone() {
+        let fail = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            failure_report(commands::dispatch(&argv).expect_err("must fail").as_ref())
+        };
+        let path = std::env::temp_dir().join("ripple_cli_invalid_report.json");
+        std::fs::write(&path, r#"{"schema":"ripple.run_report.v1"}"#).unwrap();
+        let path = path.to_str().unwrap().to_string();
+        let (text, code) = fail(&["validate-metrics", &path]);
+        assert_eq!(code, EXIT_USAGE, "{text}");
+        assert!(text.starts_with(&format!("error: {path}: ")), "{text}");
+        assert!(!text.contains("usage:"), "{text}");
+        // A bad flag value is still a usage error, usage text included.
+        let (text, code) = fail(&["validate-metrics", &path, "--phases", "bogus"]);
+        assert_eq!(code, EXIT_USAGE, "{text}");
+        assert!(text.contains("usage:"), "{text}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -123,13 +123,12 @@ impl WindowChoice {
 }
 
 /// How the cue block is selected among a window's eligible candidates.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CueSelection {
     /// The candidate executed nearest the eviction whose probability
     /// clears the threshold. Late cues time the invalidation close to the
     /// ideal eviction point, so the freed way is consumed by the very fill
     /// the ideal policy would have used it for.
-    #[default]
     LatestEligible,
     /// The paper's Fig. 5b selection: the candidate with the highest
     /// conditional probability, injected only if it clears the threshold.
@@ -154,12 +153,6 @@ pub struct AnalysisConfig {
     pub front_window_blocks: usize,
     /// Cue selection strategy.
     pub cue_selection: CueSelection,
-    /// Maximum distance (blocks) between a cue's earliest in-window
-    /// execution and the eviction trigger for it to be eligible. A freed
-    /// way only helps if it is still free when the triggering fill
-    /// arrives; a cue that fires thousands of blocks early donates its
-    /// slot to an unrelated fill and the benefit evaporates.
-    pub max_earliest_gap: u64,
     /// Minimum number of eviction windows a (cue, victim) pair must cover
     /// to stay in the plan. A pair covering a single window trades one
     /// saved miss for seven bytes of hot code — negative expected value —
@@ -180,7 +173,6 @@ impl Default for AnalysisConfig {
             max_candidates: 32,
             front_window_blocks: 64,
             cue_selection: CueSelection::HighestProbability,
-            max_earliest_gap: u64::MAX,
             min_windows_per_injection: 2,
             max_injections_per_block: 6,
         }
@@ -196,7 +188,6 @@ pub struct Analysis {
     origins: LineOrigins,
     selection: CueSelection,
     per_block_cap: usize,
-    max_earliest_gap: u64,
     min_pair_windows: u32,
 }
 
@@ -299,7 +290,7 @@ impl Analysis {
             let mut eligible: Vec<&CueCandidate> = choice
                 .candidates
                 .iter()
-                .filter(|c| c.probability >= threshold && c.earliest_gap <= self.max_earliest_gap)
+                .filter(|c| c.probability >= threshold)
                 .collect();
             match self.selection {
                 CueSelection::LatestEligible => {
@@ -398,9 +389,10 @@ impl Analysis {
 ///
 /// `layout` must be the layout the eviction log was produced under (the
 /// profiled, pre-injection layout). Thin wrapper over [`analyze_windows`]
-/// for callers holding a materialized log; the pipeline itself streams
+/// for tests holding a materialized log; the pipeline itself streams
 /// events through a [`WindowSink`] instead.
-pub fn analyze(
+#[cfg(test)]
+pub(crate) fn analyze(
     program: &Program,
     layout: &Layout,
     trace: &BbTrace,
@@ -598,7 +590,6 @@ pub fn analyze_windows(
         origins: line_origins(program, layout),
         selection: config.cue_selection,
         per_block_cap: config.max_injections_per_block.max(1),
-        max_earliest_gap: config.max_earliest_gap,
         min_pair_windows: config.min_windows_per_injection.max(1),
     }
 }

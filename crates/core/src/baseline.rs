@@ -20,7 +20,7 @@ use ripple_trace::BbTrace;
 
 use crate::analysis::{EvictionWindow, WindowSink};
 use crate::error::Error;
-use crate::harness::{effective_threads, run_jobs_observed, Job};
+use crate::harness::{effective_threads, run_jobs, Job};
 use crate::metrics::{eviction_accuracy, AccuracyStats, LineAccessIndex, WindowIndex};
 
 /// One policy's run on the original binary.
@@ -150,7 +150,9 @@ impl<'a> EvalBaseline<'a> {
             // The oracle captures anyway; a capture error is cached by the
             // session and resurfaces in the oracle's job.
             let _ = session.try_ensure_recorded();
-            run_jobs_observed(effective_threads(threads), "baseline", &*recorder, jobs)
+            run_jobs(effective_threads(threads), "baseline", &*recorder, jobs)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
         })?;
         // No later run needs the capture: an underlying replayed on first
         // use streams instead. Freeing it keeps the baseline's footprint
@@ -244,9 +246,10 @@ impl<'a> EvalBaseline<'a> {
             time_phase(recorder, "eval.sim_runs", || {
                 let job: Job<'_, BaselineRun> =
                     Box::new(|| BaselineRun::logged(&self.session, policy));
-                run_jobs_observed(1, "baseline", recorder, vec![job])?
+                run_jobs(1, "baseline", recorder, vec![job])
                     .pop()
-                    .ok_or_else(|| Error::Internal("missing baseline run output".to_string()))
+                    .ok_or_else(|| Error::Internal("missing baseline run output".to_string()))?
+                    .map_err(Error::from)
             })
         })
         .as_ref()
@@ -254,15 +257,11 @@ impl<'a> EvalBaseline<'a> {
     }
 
     /// The original layout's ideal windows and line accesses, built on
-    /// first use and timed as `eval.accuracy`.
+    /// first use (inside the calling evaluation's `eval.accuracy`).
     pub(crate) fn original_scoring(&self) -> &OriginalScoring {
-        self.original.get_or_init(|| {
-            time_phase(&**self.session.recorder(), "eval.accuracy", || {
-                OriginalScoring {
-                    windows: WindowIndex::build(&self.oracle_windows),
-                    accesses: LineAccessIndex::build(self.session.layout(), self.session.trace()),
-                }
-            })
+        self.original.get_or_init(|| OriginalScoring {
+            windows: WindowIndex::build(&self.oracle_windows),
+            accesses: LineAccessIndex::build(self.session.layout(), self.session.trace()),
         })
     }
 

@@ -172,18 +172,14 @@ impl std::error::Error for ConfigError {
     }
 }
 
-/// An isolated harness job failed: the job panicked (possibly on every
-/// retry attempt) and the panic was contained by the harness instead of
-/// sinking the whole batch.
+/// An isolated harness job failed: the job panicked and the panic was
+/// contained by the harness instead of sinking the whole batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
     /// The batch scope the job belonged to (e.g. `"evaluate"`, `"sweep"`).
     pub scope: String,
     /// Index of the failed job within its batch.
     pub index: usize,
-    /// How many times the job was attempted (1 unless retries were
-    /// requested).
-    pub attempts: u32,
     /// The panic payload, rendered as text (`"<non-string panic>"` when
     /// the payload was not a string).
     pub panic_message: String,
@@ -193,12 +189,8 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "job {} of batch `{}` panicked after {} attempt{}: {}",
-            self.index,
-            self.scope,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.panic_message
+            "job {} of batch `{}` panicked: {}",
+            self.index, self.scope, self.panic_message
         )
     }
 }
@@ -230,14 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn job_error_display_counts_attempts() {
+    fn job_error_display_names_scope_job_and_panic() {
         let e = JobError {
             scope: "evaluate".into(),
             index: 3,
-            attempts: 2,
             panic_message: "boom".into(),
         };
-        let s = e.to_string();
-        assert!(s.contains("job 3") && s.contains("2 attempts") && s.contains("boom"));
+        assert_eq!(e.to_string(), "job 3 of batch `evaluate` panicked: boom");
     }
 }

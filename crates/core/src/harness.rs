@@ -1,8 +1,9 @@
 //! Shared parallel evaluation harness with per-job panic isolation.
 //!
 //! Every consumer of the simulator — [`Ripple::evaluate_with_threshold`]'s
-//! five runs, the CLI's policy-compare and threshold-sweep loops, the bench
-//! crate's grid matrices — reduces to the same shape: a list of independent
+//! runs, the CLI's policy-compare and threshold-sweep loops, the lab's load
+//! and execute batches, fleet's collect and rollout — reduces to the same
+//! shape: a list of independent
 //! simulation jobs whose results must come back *in job order*, bit-identical
 //! to running them sequentially. This module expresses that shape once.
 //!
@@ -15,11 +16,12 @@
 //! Fault isolation: every job runs under [`std::panic::catch_unwind`]. A
 //! panicking job never sinks its batch — the remaining jobs complete, and
 //! the failure comes back as a typed [`JobError`] carrying the batch scope,
-//! the job index and the panic message. [`run_jobs_settled`] exposes the
-//! full per-job picture; [`run_jobs`] collapses it to first-error for
-//! callers that need all results anyway. [`run_jobs_retrying`] re-runs
-//! panicking jobs a bounded number of times for workloads with transient
-//! failure modes.
+//! the job index and the panic message. [`run_jobs`] returns the full
+//! per-job picture; callers that need every result collect it into a
+//! `Result<Vec<T>, JobError>` at the call site.
+//!
+//! Observability: [`run_jobs`] takes the caller's recorder and reports
+//! every batch and job to it; a disabled recorder costs nothing.
 //!
 //! [`Ripple::evaluate_with_threshold`]: crate::Ripple::evaluate_with_threshold
 
@@ -36,10 +38,6 @@ use crate::error::JobError;
 /// A unit of work for [`run_jobs`]: boxed so heterogeneous closures can
 /// share one job list.
 pub type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// A re-runnable unit of work for [`run_jobs_retrying`]: `Fn` rather than
-/// `FnOnce`, so a panicked attempt can be retried.
-pub type RetryJob<'env, T> = Box<dyn Fn() -> T + Send + Sync + 'env>;
 
 /// Resolves a requested worker count: both `None` and `Some(0)` mean
 /// "auto-detect" — the machine's available parallelism (at least 1).
@@ -76,24 +74,14 @@ fn settle_one<T>(scope: &str, index: usize, job: Job<'_, T>) -> Result<T, JobErr
     catch_unwind(AssertUnwindSafe(job)).map_err(|payload| JobError {
         scope: scope.to_string(),
         index,
-        attempts: 1,
         panic_message: panic_message(payload),
     })
 }
 
-/// Runs `jobs` on up to `threads` scoped worker threads, isolating each
-/// job's panics, and returns the per-job outcomes in job order.
-///
-/// Jobs are claimed from a shared counter, so long jobs do not serialize
-/// short ones; results land in the slot of the job that produced them, so
-/// the output is independent of scheduling. With `threads <= 1` (or a
-/// single job) everything runs inline on the caller's thread — the
-/// sequential reference order the parallel path is measured against.
-///
-/// A panicking job yields an `Err(JobError)` in its slot; every other job
-/// still runs and returns its own outcome. Panics never cross the harness
-/// boundary.
-pub fn run_jobs_settled<'env, T: Send>(
+/// The scheduling loop behind [`run_jobs`]: runs `jobs` on up to
+/// `threads` scoped worker threads, isolating each job's panics, and
+/// returns the per-job outcomes in job order.
+fn run_settled<'env, T: Send>(
     threads: usize,
     scope: &str,
     jobs: Vec<Job<'env, T>>,
@@ -138,7 +126,6 @@ pub fn run_jobs_settled<'env, T: Send>(
                     Err(JobError {
                         scope: scope.to_string(),
                         index: i,
-                        attempts: 0,
                         panic_message: "job was never run (harness bug)".to_string(),
                     })
                 })
@@ -146,108 +133,39 @@ pub fn run_jobs_settled<'env, T: Send>(
         .collect()
 }
 
-/// Runs `jobs` on up to `threads` workers and returns their results in job
-/// order, or the first (lowest-index) [`JobError`] if any job panicked.
+/// Runs `jobs` on up to `threads` workers, isolating each job's panics,
+/// and returns the per-job outcomes in job order.
 ///
-/// The batch always runs to completion — a panicking job does not cancel
-/// its siblings — but the partial results are discarded when any job
-/// failed. Use [`run_jobs_settled`] to keep the survivors.
-pub fn run_jobs<'env, T: Send>(
-    threads: usize,
-    jobs: Vec<Job<'env, T>>,
-) -> Result<Vec<T>, JobError> {
-    run_jobs_settled(threads, "jobs", jobs)
-        .into_iter()
-        .collect()
-}
-
-/// [`run_jobs_settled`] with bounded retry: each job is attempted up to
-/// `max_attempts` times (panicked attempts are re-run from scratch), and a
-/// job that panics on every attempt reports the *last* panic with its
-/// attempt count.
+/// Jobs are claimed from a shared counter, so long jobs do not serialize
+/// short ones; results land in the slot of the job that produced them, so
+/// the output is independent of scheduling. With `threads <= 1` (or a
+/// single job) everything runs inline on the caller's thread — the
+/// sequential reference order the parallel path is measured against.
 ///
-/// Jobs must be [`Fn`] (see [`RetryJob`]) so an attempt can be repeated.
-/// Retry only helps jobs with nondeterministic failure modes (I/O,
-/// resource exhaustion); the simulator itself is deterministic, so its
-/// panics repeat — which the attempt count then documents.
-pub fn run_jobs_retrying<'env, T: Send + 'env>(
-    threads: usize,
-    scope: &str,
-    max_attempts: u32,
-    jobs: Vec<RetryJob<'env, T>>,
-) -> Vec<Result<T, JobError>> {
-    let max_attempts = max_attempts.max(1);
-    let wrapped: Vec<Job<'env, Result<T, JobError>>> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, job)| -> Job<'env, Result<T, JobError>> {
-            let scope = scope.to_string();
-            Box::new(move || {
-                let mut last = None;
-                for attempt in 1..=max_attempts {
-                    match catch_unwind(AssertUnwindSafe(&job)) {
-                        Ok(out) => return Ok(out),
-                        Err(payload) => {
-                            last = Some(JobError {
-                                scope: scope.clone(),
-                                index: i,
-                                attempts: attempt,
-                                panic_message: panic_message(payload),
-                            });
-                        }
-                    }
-                }
-                Err(last.unwrap_or_else(|| JobError {
-                    scope: scope.clone(),
-                    index: i,
-                    attempts: 0,
-                    panic_message: "zero attempts (harness bug)".to_string(),
-                }))
-            })
-        })
-        .collect();
-    run_jobs_settled(threads, scope, wrapped)
-        .into_iter()
-        .map(|slot| slot.and_then(|inner| inner))
-        .collect()
-}
-
-/// [`run_jobs`] with per-job observability: wraps every job so its claim
-/// and completion are reported to `recorder`, then runs the batch through
-/// the plain engine (scheduling is shared, not duplicated).
+/// A panicking job yields an `Err(JobError)` in its slot; every other job
+/// still runs and returns its own outcome. Callers that need every result
+/// collect the outcomes into a `Result<Vec<T>, JobError>`, which keeps the
+/// first (lowest-index) failure.
 ///
 /// Per job, a `harness.job` event carries the batch `scope`, the job
 /// index, `queue_wait_ns` (batch start → the job being claimed by a
 /// worker) and `run_ns`; a `harness.job` phase aggregates run times and a
 /// `harness.jobs` counter tallies completions. A job that panics reports a
-/// `harness.job_failed` counter and event instead, and the batch returns
-/// the first [`JobError`]. The whole batch is wrapped in a `harness.batch`
-/// phase with a start/finish event pair around it.
+/// `harness.job_failed` counter and event instead. The whole batch is
+/// wrapped in a `harness.batch` phase, announced by a `harness.batch`
+/// event.
 ///
-/// With a disabled recorder this delegates straight to [`run_jobs`] —
-/// same closures, no clock reads — so observability never perturbs the
-/// job results (which stay byte-identical either way; jobs are pure).
-pub fn run_jobs_observed<'env, T: Send + 'env>(
-    threads: usize,
-    scope: &'env str,
-    recorder: &'env dyn Recorder,
-    jobs: Vec<Job<'env, T>>,
-) -> Result<Vec<T>, JobError> {
-    run_jobs_observed_settled(threads, scope, recorder, jobs)
-        .into_iter()
-        .collect()
-}
-
-/// [`run_jobs_settled`] with the observability of [`run_jobs_observed`]:
-/// per-job outcomes, nothing collapsed.
-pub fn run_jobs_observed_settled<'env, T: Send + 'env>(
+/// With a disabled recorder the batch goes straight to the scheduling
+/// loop — same closures, no clock reads — so observability never perturbs
+/// the job results (which stay byte-identical either way; jobs are pure).
+pub fn run_jobs<'env, T: Send + 'env>(
     threads: usize,
     scope: &'env str,
     recorder: &'env dyn Recorder,
     jobs: Vec<Job<'env, T>>,
 ) -> Vec<Result<T, JobError>> {
     if !recorder.enabled() {
-        return run_jobs_settled(threads, scope, jobs);
+        return run_settled(threads, scope, jobs);
     }
     let n = jobs.len();
     recorder.event(
@@ -283,7 +201,7 @@ pub fn run_jobs_observed_settled<'env, T: Send + 'env>(
             })
         })
         .collect();
-    let results = run_jobs_settled(threads, scope, observed);
+    let results = run_settled(threads, scope, observed);
     for (i, r) in results.iter().enumerate() {
         if r.is_err() {
             recorder.add("harness.job_failed", 1);
@@ -323,7 +241,9 @@ pub fn policy_matrix(
         .iter()
         .map(|&p| -> Job<'_, SimStats> { Box::new(move || session.run(p)) })
         .collect();
-    run_jobs_observed(threads, "policy_matrix", &**session.recorder(), jobs)
+    run_jobs(threads, "policy_matrix", &**session.recorder(), jobs)
+        .into_iter()
+        .collect()
 }
 
 /// [`policy_matrix`] over *every* policy in the global registry, in
@@ -360,12 +280,22 @@ mod tests {
         out
     }
 
+    /// [`run_jobs`] without a recorder, collapsed to first-error.
+    fn run<'env, T: Send + 'env>(
+        threads: usize,
+        jobs: Vec<Job<'env, T>>,
+    ) -> Result<Vec<T>, JobError> {
+        run_jobs(threads, "jobs", &ripple_obs::NullRecorder, jobs)
+            .into_iter()
+            .collect()
+    }
+
     #[test]
     fn results_come_back_in_job_order() {
         let jobs: Vec<Job<'_, usize>> = (0..32)
             .map(|i| -> Job<'_, usize> { Box::new(move || i * i) })
             .collect();
-        let out = run_jobs(4, jobs).unwrap();
+        let out = run(4, jobs).unwrap();
         assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -377,7 +307,7 @@ mod tests {
         let par: Vec<Job<'_, u64>> = (0..17)
             .map(|i: u64| -> Job<'_, u64> { Box::new(move || i.wrapping_mul(0x9e37)) })
             .collect();
-        assert_eq!(run_jobs(1, seq).unwrap(), run_jobs(8, par).unwrap());
+        assert_eq!(run(1, seq).unwrap(), run(8, par).unwrap());
     }
 
     #[test]
@@ -400,10 +330,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(effective_threads(Some(1000)), 1000);
-        assert_eq!(
-            run_jobs(1000, make()).unwrap(),
-            run_jobs(1, make()).unwrap()
-        );
+        assert_eq!(run(1000, make()).unwrap(), run(1, make()).unwrap());
     }
 
     #[test]
@@ -421,14 +348,13 @@ mod tests {
                     })
                 })
                 .collect();
-            let out = quiet_panics(|| run_jobs_settled(threads, "test", jobs));
+            let out = quiet_panics(|| run_jobs(threads, "test", &ripple_obs::NullRecorder, jobs));
             assert_eq!(out.len(), 8);
             for (i, slot) in out.iter().enumerate() {
                 if i == 3 {
                     let err = slot.as_ref().unwrap_err();
                     assert_eq!(err.index, 3);
                     assert_eq!(err.scope, "test");
-                    assert_eq!(err.attempts, 1);
                     assert!(err.panic_message.contains("poisoned job 3"));
                 } else {
                     assert_eq!(slot.as_ref().unwrap(), &(i * 10), "threads {threads}");
@@ -438,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn run_jobs_reports_the_first_error() {
+    fn collected_outcomes_report_the_first_error() {
         let jobs: Vec<Job<'_, u32>> = (0..6)
             .map(|i| -> Job<'_, u32> {
                 Box::new(move || {
@@ -449,38 +375,15 @@ mod tests {
                 })
             })
             .collect();
-        let err = quiet_panics(|| run_jobs(3, jobs)).unwrap_err();
+        let err = quiet_panics(|| run(3, jobs)).unwrap_err();
         assert_eq!(err.index, 1, "lowest failing index wins");
         assert!(err.panic_message.contains("odd job 1"));
     }
 
     #[test]
-    fn retrying_recovers_transient_failures_and_counts_attempts() {
-        use std::sync::atomic::AtomicU32;
-        // Job 0 succeeds on attempt 3; job 1 always panics; job 2 is fine.
-        let tries = AtomicU32::new(0);
-        let jobs: Vec<RetryJob<'_, u32>> = vec![
-            Box::new(|| {
-                if tries.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("transient");
-                }
-                7
-            }),
-            Box::new(|| panic!("permanent")),
-            Box::new(|| 42),
-        ];
-        let out = quiet_panics(|| run_jobs_retrying(1, "retry_test", 3, jobs));
-        assert_eq!(out[0].as_ref().unwrap(), &7);
-        let err = out[1].as_ref().unwrap_err();
-        assert_eq!(err.attempts, 3);
-        assert!(err.panic_message.contains("permanent"));
-        assert_eq!(out[2].as_ref().unwrap(), &42);
-    }
-
-    #[test]
     fn non_string_panics_are_reported() {
         let jobs: Vec<Job<'_, ()>> = vec![Box::new(|| std::panic::panic_any(17_u64))];
-        let out = quiet_panics(|| run_jobs_settled(1, "weird", jobs));
+        let out = quiet_panics(|| run_jobs(1, "weird", &ripple_obs::NullRecorder, jobs));
         let err = out[0].as_ref().unwrap_err();
         assert_eq!(err.panic_message, "<non-string panic>");
     }
@@ -491,7 +394,10 @@ mod tests {
         let jobs: Vec<Job<'_, usize>> = (0..6)
             .map(|i| -> Job<'_, usize> { Box::new(move || i + 1) })
             .collect();
-        let out = run_jobs_observed(3, "test_batch", &recorder, jobs).unwrap();
+        let out: Vec<usize> = run_jobs(3, "test_batch", &recorder, jobs)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("harness.jobs"), Some(6));
@@ -531,7 +437,7 @@ mod tests {
                 })
             })
             .collect();
-        let out = quiet_panics(|| run_jobs_observed_settled(2, "obs_fail", &recorder, jobs));
+        let out = quiet_panics(|| run_jobs(2, "obs_fail", &recorder, jobs));
         assert!(out[2].is_err());
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("harness.job_failed"), Some(1));
@@ -546,12 +452,19 @@ mod tests {
     }
 
     #[test]
-    fn observed_disabled_recorder_is_passthrough() {
-        let jobs: Vec<Job<'_, usize>> = (0..4)
-            .map(|i| -> Job<'_, usize> { Box::new(move || i * 2) })
-            .collect();
-        let out = run_jobs_observed(2, "x", &ripple_obs::NullRecorder, jobs).unwrap();
-        assert_eq!(out, vec![0, 2, 4, 6]);
+    fn observed_and_unobserved_batches_agree() {
+        let make = || -> Vec<Job<'_, usize>> {
+            (0..4)
+                .map(|i| -> Job<'_, usize> { Box::new(move || i * 2) })
+                .collect()
+        };
+        let recorder = ripple_obs::MetricsRecorder::new();
+        let observed: Vec<usize> = run_jobs(2, "x", &recorder, make())
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(observed, vec![0, 2, 4, 6]);
+        assert_eq!(run(2, make()).unwrap(), observed);
     }
 
     #[test]

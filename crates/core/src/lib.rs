@@ -15,7 +15,7 @@
 //! 1. [`collect_profile`] — execute the workload while recording a
 //!    PT-style packet stream, and decode it into a [`BbTrace`]
 //!    (`ripple-trace`);
-//! 2. [`analyze`] — replay the ideal policy (`ripple-sim`), build eviction
+//! 2. [`analyze_windows`] — replay the ideal policy (`ripple-sim`), build eviction
 //!    windows, and compute `P(evict A | execute B)` per candidate cue
 //!    (§III-B, Fig. 5);
 //! 3. [`Ripple::plan`] — threshold the winning candidates into an
@@ -64,19 +64,16 @@ mod report;
 mod threshold;
 
 pub use analysis::{
-    analyze, analyze_windows, Analysis, AnalysisConfig, CoverageStats, CueCandidate, CueSelection,
+    analyze_windows, Analysis, AnalysisConfig, CoverageStats, CueCandidate, CueSelection,
     EvictionWindow, WindowChoice, WindowSink,
 };
 pub use baseline::EvalBaseline;
 pub use error::{ConfigError, Error, JobError};
-pub use harness::{
-    effective_threads, policy_matrix, policy_matrix_all, run_jobs, run_jobs_observed,
-    run_jobs_observed_settled, run_jobs_retrying, run_jobs_settled, Job, RetryJob,
-};
+pub use harness::{effective_threads, policy_matrix, policy_matrix_all, run_jobs, Job};
 pub use metrics::{
-    block_visit_counts, decision_is_accurate, eviction_accuracy, invalidation_accuracy,
-    line_access_counts, line_counts_of_blocks, plan_accuracy, profile_temperatures,
-    temperatures_from_counts, AccuracySink, AccuracyStats, LineAccessIndex, WindowIndex,
+    block_visit_counts, decision_is_accurate, eviction_accuracy, line_access_counts,
+    line_counts_of_blocks, plan_accuracy, profile_temperatures, temperatures_from_counts,
+    AccuracySink, AccuracyStats, LineAccessIndex, WindowIndex,
 };
 pub use pipeline::{Ripple, RippleConfig, RippleConfigBuilder, RippleOutcome};
 pub use profile::{collect_profile, Profile};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use ripple_program::{BlockId, InstKind, Layout, LineAddr, LineRange, Program};
+use ripple_program::{BlockId, Layout, LineAddr, LineRange};
 use ripple_sim::{EvictionEvent, EvictionSink, Temperature, TemperatureMap};
 use ripple_trace::BbTrace;
 
@@ -252,52 +252,6 @@ impl AccuracyStats {
             self.accurate as f64 / self.total as f64
         }
     }
-}
-
-/// Replays `trace` over the *rewritten* program and scores every dynamic
-/// invalidation execution against the ideal windows (Fig. 10).
-///
-/// `windows`/`accesses` must be built against the same layout generation
-/// as the invalidate operands (the rewritten layout).
-pub fn invalidation_accuracy(
-    program: &Program,
-    trace: &BbTrace,
-    windows: &WindowIndex,
-    accesses: &LineAccessIndex,
-) -> AccuracyStats {
-    // Victim lines per cue block (empty for untouched blocks).
-    let mut victims: HashMap<BlockId, Vec<LineAddr>> = HashMap::new();
-    for block in program.blocks() {
-        if block.injected_prefix_len() == 0 {
-            continue;
-        }
-        let lines: Vec<LineAddr> = block
-            .instructions()
-            .iter()
-            .filter_map(|inst| match inst.kind() {
-                InstKind::Invalidate { line } => Some(line),
-                _ => None,
-            })
-            .collect();
-        victims.insert(block.id(), lines);
-    }
-
-    let mut stats = AccuracyStats::default();
-    if victims.is_empty() {
-        return stats;
-    }
-    for (pos, block) in trace.iter().enumerate() {
-        let Some(lines) = victims.get(&block) else {
-            continue;
-        };
-        for &line in lines {
-            stats.total += 1;
-            if decision_is_accurate(line, pos as u64, windows, accesses) {
-                stats.accurate += 1;
-            }
-        }
-    }
-    stats
 }
 
 /// Scores a not-yet-applied [`InjectionPlan`](ripple_program::InjectionPlan)

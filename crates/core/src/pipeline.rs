@@ -17,10 +17,8 @@ use ripple_trace::BbTrace;
 use crate::analysis::{analyze_windows, Analysis, AnalysisConfig, CoverageStats, WindowSink};
 use crate::baseline::EvalBaseline;
 use crate::error::{ConfigError, Error};
-use crate::harness::{run_jobs_observed, Job};
-use crate::metrics::{
-    eviction_accuracy, plan_accuracy, AccuracyStats, LineAccessIndex, WindowIndex,
-};
+use crate::harness::{run_jobs, Job};
+use crate::metrics::{plan_accuracy, AccuracyStats, LineAccessIndex, WindowIndex};
 
 /// Configuration of one Ripple run.
 #[derive(Debug, Clone, PartialEq)]
@@ -491,17 +489,18 @@ impl<'p> Ripple<'p> {
                 let underlying = self.config.underlying;
                 let job: Job<'_, SimStats> = Box::new(|| session.run(underlying));
                 time_phase(&*self.recorder, "eval.sim_runs", || {
-                    run_jobs_observed(1, "evaluate", &*self.recorder, vec![job])
-                })?
-                .pop()
-                .ok_or_else(|| Error::Internal("missing ripple job output".to_string()))?
+                    run_jobs(1, "evaluate", &*self.recorder, vec![job]).pop()
+                })
+                .ok_or_else(|| Error::Internal("missing ripple job output".to_string()))??
             }
         };
 
-        // Accuracy against ideal windows: the final layout's when the
-        // final-layout analysis ran, the original layout's otherwise.
+        // Ripple's accuracy against ideal windows: the final layout's when
+        // the final-layout analysis ran, the original layout's otherwise.
+        // The underlying policy ran on the original binary, so its
+        // evictions are always scored in the original layout.
         let accuracy_timer = PhaseTimer::start(&*self.recorder);
-        let (ripple_accuracy, underlying_accuracy) = match &relinked {
+        let ripple_accuracy = match &relinked {
             Some(Relinked {
                 layout,
                 final_round: Some(round),
@@ -509,25 +508,20 @@ impl<'p> Ripple<'p> {
             }) => {
                 let windows = WindowIndex::build(round.analysis.windows());
                 let accesses = LineAccessIndex::build(layout, eval_trace);
-                (
-                    plan_accuracy(&round.plan, layout, eval_trace, &windows, &accesses),
-                    eviction_accuracy(&base.log, &windows, &accesses),
-                )
+                plan_accuracy(&round.plan, layout, eval_trace, &windows, &accesses)
             }
             _ => {
                 let scoring = baseline.original_scoring();
-                (
-                    plan_accuracy(
-                        &plan,
-                        self.layout,
-                        eval_trace,
-                        &scoring.windows,
-                        &scoring.accesses,
-                    ),
-                    baseline.original_accuracy(base),
+                plan_accuracy(
+                    &plan,
+                    self.layout,
+                    eval_trace,
+                    &scoring.windows,
+                    &scoring.accesses,
                 )
             }
         };
+        let underlying_accuracy = baseline.original_accuracy(base);
         accuracy_timer.finish(&*self.recorder, "eval.accuracy");
 
         let static_orig = self.program.static_instruction_count();
@@ -797,6 +791,25 @@ mod tests {
                 assert!(injected.contains(&0), "no empty plan: {injected:?}");
                 assert!(injected.iter().any(|&n| n > 0), "no plan: {injected:?}");
             }
+        }
+    }
+
+    #[test]
+    fn underlying_accuracy_does_not_depend_on_the_threshold() {
+        // The underlying policy runs on the original binary whatever
+        // Ripple's plan, so Fig. 10's LRU accuracy is one number per
+        // baseline: its evictions scored in the original layout.
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 60_000);
+        let ripple = Ripple::train(&app.program, &layout, &trace, small_config()).unwrap();
+        let baseline = ripple.baseline(&trace).unwrap();
+        let lru = baseline.original_accuracy(baseline.run(PolicyKind::LRU).unwrap());
+        assert!(lru.total > 0);
+        for t in [0.3, 0.55, 0.8] {
+            let o = ripple.evaluate_on(&baseline, t).unwrap();
+            assert!(o.injected_static > 0, "empty plan at {t}");
+            assert_eq!(o.underlying_accuracy, lru, "at {t}");
         }
     }
 

@@ -4,7 +4,7 @@
 use ripple_trace::BbTrace;
 
 use crate::error::Error;
-use crate::harness::{effective_threads, run_jobs_observed, Job};
+use crate::harness::{effective_threads, run_jobs, Job};
 use crate::pipeline::Ripple;
 
 /// One point of the coverage/accuracy trade-off curve.
@@ -63,7 +63,9 @@ pub fn sweep(
             })
         })
         .collect();
-    run_jobs_observed(threads, "sweep", &**ripple.recorder(), jobs)?
+    run_jobs(threads, "sweep", &**ripple.recorder(), jobs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
         .into_iter()
         .collect()
 }

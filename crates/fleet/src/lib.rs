@@ -76,9 +76,6 @@ pub struct FleetConfig {
     /// Deterministically corrupt this instance's packet stream every
     /// epoch (tests the poisoned-shard isolation path).
     pub poison_instance: Option<usize>,
-    /// Attempts per shard-collection job before the instance is skipped
-    /// for the epoch.
-    pub retry_attempts: u32,
 }
 
 impl Default for FleetConfig {
@@ -93,7 +90,6 @@ impl Default for FleetConfig {
             drift_epoch: None,
             regression_gate_pct: 0.5,
             poison_instance: None,
-            retry_attempts: 2,
         }
     }
 }

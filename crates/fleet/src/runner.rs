@@ -3,10 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ripple::{
-    effective_threads, run_jobs_retrying, run_jobs_settled, temperatures_from_counts, Job,
-    RetryJob, Ripple, RippleConfig,
-};
+use ripple::{effective_threads, run_jobs, temperatures_from_counts, Job, Ripple, RippleConfig};
 use ripple_json::Value;
 use ripple_obs::{time_phase, Recorder};
 use ripple_program::{rewrite, LineAddr};
@@ -122,10 +119,10 @@ pub fn run_fleet_with_cache(
 
         // ---- Collect: every instance emits and decodes one shard. ----
         let shards: Vec<Option<Shard>> = time_phase(&*recorder, "fleet.collect", || {
-            let jobs: Vec<RetryJob<'_, Result<Shard, String>>> = registry
+            let jobs: Vec<Job<'_, Result<Shard, String>>> = registry
                 .instances
                 .iter()
-                .map(|inst| -> RetryJob<'_, Result<Shard, String>> {
+                .map(|inst| -> Job<'_, Result<Shard, String>> {
                     let inst = *inst;
                     let svc = &registry.services[inst.service];
                     let seed = config.seed;
@@ -163,7 +160,7 @@ pub fn run_fleet_with_cache(
                     })
                 })
                 .collect();
-            run_jobs_retrying(threads, "fleet.collect", config.retry_attempts, jobs)
+            run_jobs(threads, "fleet.collect", &*recorder, jobs)
                 .into_iter()
                 .map(|slot| match slot {
                     Ok(Ok(shard)) => Some(shard),
@@ -323,7 +320,7 @@ pub fn run_fleet_with_cache(
                         })
                     })
                     .collect();
-                run_jobs_settled(threads, "fleet.rollout", jobs)
+                run_jobs(threads, "fleet.rollout", &*recorder, jobs)
                     .into_iter()
                     .map(|slot| slot.ok().flatten())
                     .collect()

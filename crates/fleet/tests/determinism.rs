@@ -8,7 +8,7 @@ use ripple_fleet::{
     run_fleet, run_fleet_with_cache, validate_fleet_report, FleetConfig, PlanArtifactCache,
 };
 use ripple_json::Value;
-use ripple_obs::NullRecorder;
+use ripple_obs::{MetricsRecorder, NullRecorder, OwnedValue};
 
 fn small_config() -> FleetConfig {
     FleetConfig {
@@ -44,6 +44,36 @@ fn strip_cache_counters(value: &mut Value) {
         }
         _ => {}
     }
+}
+
+#[test]
+fn collect_and_rollout_jobs_are_observed_without_changing_the_report() {
+    let cfg = FleetConfig {
+        threads: Some(2),
+        poison_instance: Some(1),
+        ..small_config()
+    };
+    let metrics = Arc::new(MetricsRecorder::new());
+    let observed = run_fleet(&cfg, metrics.clone())
+        .expect("fleet run")
+        .to_pretty_string();
+    assert_eq!(
+        observed,
+        report_text(&cfg),
+        "observation changed the report"
+    );
+    let snap = metrics.snapshot();
+    let jobs_in = |scope: &str| {
+        snap.events_named("harness.job")
+            .filter(|e| e.field("scope").and_then(OwnedValue::as_str) == Some(scope))
+            .count()
+    };
+    // One collect job per instance per epoch, the poisoned one included.
+    assert_eq!(
+        jobs_in("fleet.collect"),
+        cfg.instances * cfg.epochs as usize
+    );
+    assert!(jobs_in("fleet.rollout") > 0);
 }
 
 #[test]

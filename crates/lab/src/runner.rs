@@ -401,7 +401,9 @@ pub fn run_experiment(
                 },
             )
             .collect();
-        ripple::run_jobs_observed(threads, "lab.load", recorder, jobs)
+        ripple::run_jobs(threads, "lab.load", recorder, jobs)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| LabError::Run(format!("loading applications: {e}")))?
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
@@ -422,7 +424,9 @@ pub fn run_experiment(
                 })
             })
             .collect();
-        ripple::run_jobs_observed(threads, "lab.execute", recorder, jobs)
+        ripple::run_jobs(threads, "lab.execute", recorder, jobs)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| LabError::Run(format!("executing grid: {e}")))?
             .into_iter()
             .collect::<Result<Vec<_>, _>>()

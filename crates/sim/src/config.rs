@@ -441,6 +441,18 @@ mod tests {
     use ripple_program::LineAddr;
 
     #[test]
+    fn table_ii_defaults() {
+        let c = SimConfig::default();
+        assert_eq!((c.l1i.size_bytes, c.l1i.assoc), (32 * 1024, 8));
+        assert_eq!((c.l2.size_bytes, c.l2.assoc), (1024 * 1024, 16));
+        assert_eq!((c.l3.size_bytes, c.l3.assoc), (10 * 1024 * 1024, 20));
+        assert_eq!(
+            (c.l1i_latency, c.l2_latency, c.l3_latency, c.mem_latency),
+            (3, 12, 36, 260)
+        );
+    }
+
+    #[test]
     fn table_ii_geometries() {
         let c = SimConfig::default();
         assert_eq!(c.l1i.num_sets(), 64);

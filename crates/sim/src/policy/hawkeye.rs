@@ -281,9 +281,11 @@ mod tests {
     #[test]
     fn metadata_is_about_5k() {
         let geom = CacheGeometry::new(32 * 1024, 8);
-        let bytes = HawkeyePolicy::new(geom, false).metadata_bytes(&geom);
-        // Table I reports 5.1875 KB = 5312 B.
-        assert_eq!(bytes, 5312);
+        // Table I reports 5.1875 KB = 5312 B for Hawkeye and Harmony alike.
+        for harmony in [false, true] {
+            let bytes = HawkeyePolicy::new(geom, harmony).metadata_bytes(&geom);
+            assert_eq!(bytes, 5312, "harmony: {harmony}");
+        }
     }
 
     #[test]

@@ -315,6 +315,40 @@ fn oracles_on_an_odd_l2_geometry_match_reference() {
 }
 
 #[test]
+fn sized_lower_levels_match_reference() {
+    // The walk builds its L2 and L3 with only the ways the program's lines
+    // can fill; the reference frontend keeps every configured way. Here
+    // the 40-set L2 is cut to ceil(lines / 40) ways (most of its sets
+    // receive two lines, so one way per set would not do), and the L3 is
+    // too small to be cut, so it evicts. No warmup, so the cold L2's first
+    // touches reach the L3.
+    use ripple_sim::LineTable;
+
+    let app = generate(&AppSpec::tiny(19));
+    let layout = Layout::new(&app.program, &LayoutConfig::default());
+    let trace = execute(&app.program, &app.model, InputConfig::training(19), 30_000);
+    let lines = u64::from(LineTable::build(&layout).len());
+    for prefetcher in [PrefetcherKind::None, PrefetcherKind::Fdip] {
+        let mut cfg = small_cfg(prefetcher);
+        cfg.l2 = CacheGeometry::new(40 * 16 * 64, 16);
+        cfg.l3 = CacheGeometry::new(16 * 2 * 64, 2);
+        cfg.warmup_fraction = 0.0;
+        let ceil = |g: CacheGeometry| lines.div_ceil(g.num_sets());
+        assert!(
+            (2..u64::from(cfg.l2.assoc)).contains(&ceil(cfg.l2)) && lines % 40 != 0,
+            "{lines} lines must cut the L2 to a ceil that floor misses"
+        );
+        assert!(ceil(cfg.l3) > u64::from(cfg.l3.assoc), "{lines} lines");
+        for policy in [PolicyKind::LRU, PolicyKind::OPT, PolicyKind::DEMAND_MIN] {
+            let what = format!("sized lower levels, {}", prefetcher.name());
+            let run = assert_matches_reference(&app.program, &layout, &trace, &cfg, policy, &what);
+            let (l2, l3, mem) = (run.0.served_l2, run.0.served_l3, run.0.served_mem);
+            assert!(l2 > 0 && l3 > 0 && mem > 0, "every level serves: {what}");
+        }
+    }
+}
+
+#[test]
 fn spliced_fetch_plans_match_full_builds_after_rewrite() {
     // Incremental relinking reuses a previous round's per-function line
     // lists for functions whose block-size signature is unchanged. The

@@ -79,7 +79,8 @@ pub use pipeline::{Ripple, RippleConfig, RippleConfigBuilder, RippleOutcome};
 pub use profile::{collect_profile, Profile};
 pub use report::{
     run_report, top_level_phases, validate_run_report, SchemaTag, COMPARE_PHASES,
-    COMPARE_TOP_PHASES, PIPELINE_PHASES, PIPELINE_TOP_PHASES, REPORT_SCHEMA, ZERO_WALL_NOTE,
+    COMPARE_TOP_PHASES, PIPELINE_PHASES, PIPELINE_TOP_PHASES, REPORT_SCHEMA, SWEEP_TOP_PHASES,
+    ZERO_WALL_NOTE,
 };
 pub use threshold::{best_threshold, sweep, ThresholdPoint};
 

@@ -117,9 +117,9 @@ pub const PIPELINE_PHASES: &[&str] = &[
 /// exceed wall clock under parallelism).
 pub const COMPARE_TOP_PHASES: &[&str] = &["harness.batch"];
 
-/// The top-level (mutually disjoint) phases of a pipeline run
-/// (`optimize` / `sweep`). Every other reported phase nests inside one of
-/// these: `eval.relink` / `eval.oracle_replay` / `eval.window_analysis` /
+/// The top-level (mutually disjoint) phases of an `optimize` run. Every
+/// other reported phase nests inside one of these: `eval.relink` /
+/// `eval.oracle_replay` / `eval.window_analysis` /
 /// `eval.patch` inside `eval.final_layout`; `harness.batch` ⊃
 /// `harness.job` ⊃ `session.run` ⊃ `frontend.*` inside `eval.sim_runs`
 /// (and `session.*` inside `train.oracle_replay` for the training pass).
@@ -135,6 +135,18 @@ pub const PIPELINE_TOP_PHASES: &[&str] = &[
     "eval.accuracy",
 ];
 
+/// The top-level (mutually disjoint) phases of a `sweep` run: training,
+/// then the shared baseline, then every threshold's evaluation. The
+/// thresholds run as parallel harness jobs, so their `eval.*` phases
+/// overlap one another and nest inside `sweep.evaluate`.
+pub const SWEEP_TOP_PHASES: &[&str] = &[
+    "train.oracle_replay",
+    "train.cue_selection",
+    "train.window_index",
+    "sweep.baseline",
+    "sweep.evaluate",
+];
+
 /// The disjoint top-level phase set for a report's `command` — the
 /// phases whose `share_pct` values must sum to at most 100%. Commands
 /// without a known phase tree (e.g. `simulate`) get an empty set, which
@@ -142,7 +154,8 @@ pub const PIPELINE_TOP_PHASES: &[&str] = &[
 pub fn top_level_phases(command: &str) -> &'static [&'static str] {
     match command {
         "compare" => COMPARE_TOP_PHASES,
-        "optimize" | "sweep" => PIPELINE_TOP_PHASES,
+        "optimize" => PIPELINE_TOP_PHASES,
+        "sweep" => SWEEP_TOP_PHASES,
         _ => &[],
     }
 }
@@ -439,11 +452,11 @@ mod tests {
         for name in PIPELINE_TOP_PHASES {
             m.phase(name, 1_000);
         }
-        let report = run_report("sweep", "tomcat", &m.snapshot(), 5_000);
+        let report = run_report("optimize", "tomcat", &m.snapshot(), 5_000);
         let err = validate_run_report(&report, &[]).unwrap_err();
         assert!(err.contains("> 100%"), "{err}");
         // The same snapshot against an honest root wall passes.
-        let report = run_report("sweep", "tomcat", &m.snapshot(), 7_000);
+        let report = run_report("optimize", "tomcat", &m.snapshot(), 7_000);
         validate_run_report(&report, &[]).expect("honest wall must validate");
     }
 
@@ -527,7 +540,7 @@ mod tests {
         }
         assert_eq!(top_level_phases("compare"), COMPARE_TOP_PHASES);
         assert_eq!(top_level_phases("optimize"), PIPELINE_TOP_PHASES);
-        assert_eq!(top_level_phases("sweep"), PIPELINE_TOP_PHASES);
+        assert_eq!(top_level_phases("sweep"), SWEEP_TOP_PHASES);
         assert!(top_level_phases("simulate").is_empty());
     }
 

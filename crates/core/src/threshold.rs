@@ -1,6 +1,7 @@
 //! Invalidation-threshold exploration (§III-C, Fig. 6) and per-app
 //! threshold tuning.
 
+use ripple_obs::time_phase;
 use ripple_trace::BbTrace;
 
 use crate::error::Error;
@@ -30,7 +31,9 @@ pub struct ThresholdPoint {
 /// independent, so they run as parallel harness jobs (the worker count
 /// follows the trained config's `threads`); the returned points are in
 /// `thresholds` order, bit-identical to a sequential sweep and to
-/// per-threshold [`Ripple::evaluate_with_threshold`] calls.
+/// per-threshold [`Ripple::evaluate_with_threshold`] calls. The two halves
+/// are timed as the disjoint phases `sweep.baseline` and `sweep.evaluate`
+/// (parallel jobs' `eval.*` phases overlap inside the latter).
 ///
 /// # Errors
 ///
@@ -47,7 +50,8 @@ pub fn sweep(
         return Ok(Vec::new());
     }
     let threads = effective_threads(ripple.config().threads);
-    let baseline = ripple.baseline(eval_trace)?;
+    let recorder = &**ripple.recorder();
+    let baseline = time_phase(recorder, "sweep.baseline", || ripple.baseline(eval_trace))?;
     let baseline = &baseline;
     let jobs: Vec<Job<'_, Result<ThresholdPoint, Error>>> = thresholds
         .iter()
@@ -63,7 +67,10 @@ pub fn sweep(
             })
         })
         .collect();
-    run_jobs(threads, "sweep", &**ripple.recorder(), jobs)
+    let outcomes = time_phase(recorder, "sweep.evaluate", || {
+        run_jobs(threads, "sweep", recorder, jobs)
+    });
+    outcomes
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -111,6 +118,35 @@ mod tests {
         assert!(points[2].accuracy + 1e-9 >= points[0].accuracy);
         let best = best_threshold(&points).unwrap();
         assert!(points.iter().all(|p| p.speedup_pct <= best.speedup_pct));
+    }
+
+    #[test]
+    fn parallel_sweep_reports_disjoint_top_level_phases() {
+        // Parallel thresholds report overlapping `eval.*` phases into one
+        // recorder, so only `sweep.baseline` and `sweep.evaluate`, with
+        // training, partition the sweep's wall time.
+        use crate::report::{run_report, validate_run_report, SWEEP_TOP_PHASES};
+        use ripple_obs::MetricsRecorder;
+        use std::sync::Arc;
+
+        let app = generate(&AppSpec::tiny(55));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(55), 60_000);
+        let mut cfg = RippleConfig::default();
+        cfg.sim.l1i = ripple_sim::CacheGeometry::new(2 * 1024, 4);
+        cfg.threads = Some(2);
+        let metrics = Arc::new(MetricsRecorder::new());
+        let start = std::time::Instant::now();
+        let ripple =
+            Ripple::train_with_recorder(&app.program, &layout, &trace, cfg, metrics.clone())
+                .unwrap();
+        let thresholds: Vec<f64> = (1..=9).map(|i| f64::from(i) / 10.0).collect();
+        sweep(&ripple, &trace, &thresholds).unwrap();
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        // Requires every top-level phase and their shares to sum to at most
+        // 100 % of the wall.
+        let report = run_report("sweep", "tiny", &metrics.snapshot(), wall_ns);
+        validate_run_report(&report, SWEEP_TOP_PHASES).unwrap();
     }
 
     fn point(threshold: f64, speedup_pct: f64) -> ThresholdPoint {

@@ -379,10 +379,11 @@ impl<'a> SimSession<'a> {
 
     /// One run: capture replay when `recording` is present, the streaming
     /// pass (the request generator feeding the cache walk directly)
-    /// otherwise. Both drive the same [`CacheWalk`], which pre-warms a
-    /// fresh L3 per run: the fill touches only the program's lines, so it
-    /// costs less than copying a shared pre-warmed L3 for all but large
-    /// programs.
+    /// otherwise. Both drive the same [`CacheWalk`] over a fresh L2 and a
+    /// fresh pre-warmed L3, each built with only the ways the session's
+    /// lines can fill (exact, because they are LRU and the line ids are
+    /// contiguous; the L1I keeps its full geometry). A run's setup thus
+    /// scales with the program, not with Table II's 10 MB L3.
     fn run_walk(
         &self,
         cfg: &SimConfig,

@@ -8,10 +8,10 @@
 //! fills, scripted and injected invalidations, the stall-based timing
 //! model, and the eviction events.
 
-use ripple_program::{Addr, BlockId, Layout, LineAddr, Program};
+use ripple_program::{Addr, BlockId, Layout, LineAddr, Program, CACHE_LINE_BYTES};
 
 use crate::cache::{AccessOutcome, Cache};
-use crate::config::{EvictionMechanism, SimConfig};
+use crate::config::{CacheGeometry, EvictionMechanism, SimConfig};
 use crate::generator::{BaseStats, Requests};
 use crate::intern::{BlockTable, FetchPlan, LineId, LineTable};
 use crate::policy::{LruPolicy, ReplacementPolicy};
@@ -21,6 +21,27 @@ use crate::stats::{EvictionEvent, SimStats};
 /// Position sentinel meaning "never" (no demand access / no outstanding
 /// prefetch issue for this line yet).
 const NO_POS: u64 = u64::MAX;
+
+/// An empty always-LRU lower level (L2 or L3) of `geom`, built with only
+/// the ways `table`'s lines can fill: `min(assoc, ceil(lines / sets))`, at
+/// least one. The set count and set mapping stay `geom`'s.
+///
+/// This is exact, not an approximation. The level is only ever accessed
+/// with `table`'s ids, and those are contiguous, so they map round-robin
+/// to the sets and no set has more lines mapping to it than the sized
+/// ways. Neither this cache nor the full-geometry one ever chooses a
+/// victim in such a set, so both return the same outcome for every
+/// access. When `ceil(lines / sets) >= assoc` the geometry is unchanged.
+/// The L1I is not sized this way: its policies read `assoc` (Hawkeye's
+/// OPTgen capacity, DRRIP's set dueling).
+fn lru_level(geom: CacheGeometry, table: &LineTable) -> Cache<LruPolicy> {
+    let sets = geom.num_sets();
+    let ways = u64::from(table.len())
+        .div_ceil(sets)
+        .clamp(1, u64::from(geom.assoc));
+    let sized = CacheGeometry::new(sets * ways * CACHE_LINE_BYTES, ways as u16);
+    Cache::with_line_base(sized, Box::new(LruPolicy::new(sized)), table.line_base())
+}
 
 /// The steady-state L3 pre-warm every run starts from. The application has
 /// executed long before the measured window, so its text is resident in
@@ -32,9 +53,7 @@ pub(crate) fn prewarm_l3(
     plan: &FetchPlan,
     config: &SimConfig,
 ) -> Cache<LruPolicy> {
-    let base = table.line_base();
-    let mut l3: Cache<LruPolicy> =
-        Cache::with_line_base(config.l3, Box::new(LruPolicy::new(config.l3)), base);
+    let mut l3 = lru_level(config.l3, table);
     for block in program.blocks() {
         for &id in plan.lines_of(block.id()) {
             l3.access(id, table.line(id).base_addr(), false, 0);
@@ -132,7 +151,7 @@ impl<'a, P: ?Sized + ReplacementPolicy> CacheWalk<'a, P> {
             table,
             blocks,
             l1i: Cache::with_line_base(config.l1i, l1i_policy, base),
-            l2: Cache::with_line_base(config.l2, Box::new(LruPolicy::new(config.l2)), base),
+            l2: lru_level(config.l2, table),
             l3,
             stats: SimStats::default(),
             stall_cycles: 0.0,
@@ -313,7 +332,6 @@ impl<P: ?Sized + ReplacementPolicy> Requests for CacheWalk<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CacheGeometry;
     use crate::sink::VecSink;
     use ripple_program::{CodeKind, Instruction, LayoutConfig, ProgramBuilder};
 
@@ -401,6 +419,45 @@ mod tests {
             assert!(l3.contains(id), "line {id} not pre-warmed");
         }
         assert_eq!(l3.occupancy(), lines.len());
+    }
+
+    #[test]
+    fn a_sized_level_matches_its_full_geometry_access_for_access() {
+        // A power-of-two set count (mask mapping) and an odd one (modulo).
+        for geom in [
+            CacheGeometry::new(8 * 4 * 64, 4),
+            CacheGeometry::new(6 * 3 * 64, 3),
+        ] {
+            let sets = geom.num_sets() as u32;
+            let assoc = u32::from(geom.assoc);
+            // ceil(lines / sets) below, at (twice) and above `assoc`.
+            for lines in [
+                sets + 1,
+                sets * (assoc - 1) + 1,
+                sets * assoc,
+                sets * assoc + 3,
+            ] {
+                let table = LineTable::identity(lines);
+                let mut sized = lru_level(geom, &table);
+                let mut full: Cache<LruPolicy> = Cache::new(geom, Box::new(LruPolicy::new(geom)));
+                let mut x = 0x9E37_79B9_u32 ^ lines;
+                for seq in 0..4_000 {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    let id = LineId::new(x % lines);
+                    let pc = table.line(id).base_addr();
+                    assert_eq!(
+                        sized.access(id, pc, false, seq),
+                        full.access(id, pc, false, seq),
+                        "{sets} sets x {assoc} ways, {lines} lines, access {seq}"
+                    );
+                }
+                assert_eq!(sized.geometry().num_sets(), geom.num_sets());
+                let ways = lines.div_ceil(sets).min(assoc);
+                assert_eq!(u32::from(sized.geometry().assoc), ways);
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! to request it.
 //!
 //! [`SimSession`]: ripple_sim::SimSession
+//! [`SimStats`]: ripple_sim::SimStats
 
 use std::sync::Arc;
 

@@ -349,67 +349,6 @@ fn sized_lower_levels_match_reference() {
 }
 
 #[test]
-fn spliced_fetch_plans_match_full_builds_after_rewrite() {
-    // Incremental relinking reuses a previous round's per-function line
-    // lists for functions whose block-size signature is unchanged. The
-    // spliced plan must equal a from-scratch build on the rewritten
-    // layout, and a session constructed from the cache must be
-    // byte-identical to one built fresh.
-    use ripple_sim::{FetchPlan, LineTable};
-
-    let app = generate(&AppSpec::tiny(23));
-    let base_layout = Layout::new(&app.program, &LayoutConfig::default());
-    let trace = execute(&app.program, &app.model, InputConfig::training(23), 30_000);
-    let cfg = small_cfg(PrefetcherKind::NextLine);
-
-    let base_session = SimSession::new(&app.program, &base_layout, &trace, cfg.clone());
-    let cache = base_session.plan_cache();
-
-    // Dirty a handful of functions with injected invalidate prefixes; the
-    // rest must be spliced, shifted by each function's start-line delta.
-    let n = app.program.num_blocks() as u32;
-    let mut plan = InjectionPlan::new();
-    for i in 0..n.min(5) {
-        plan.push(Injection {
-            cue: BlockId::new((i * 2) % n),
-            victim: CodeLoc::new(BlockId::new((i + 3) % n), 0),
-        });
-    }
-    let rewritten = rewrite(&app.program, &base_layout, &plan);
-
-    let table = LineTable::build(&rewritten.layout);
-    let full = FetchPlan::build(&rewritten.program, &rewritten.layout, &table);
-    let spliced =
-        FetchPlan::build_cached(&rewritten.program, &rewritten.layout, &table, Some(&cache));
-    assert_eq!(full, spliced, "spliced plan diverged from full build");
-
-    for policy in [PolicyKind::LRU, PolicyKind::DEMAND_MIN] {
-        let fresh = SimSession::new(&rewritten.program, &rewritten.layout, &trace, cfg.clone());
-        let cached = SimSession::new_cached(
-            &rewritten.program,
-            &rewritten.layout,
-            &trace,
-            cfg.clone(),
-            Some(&cache),
-        );
-        let mut fresh_sink = VecSink::new();
-        let mut cached_sink = VecSink::new();
-        let fresh_stats = fresh.run_with_sink(policy, &mut fresh_sink);
-        let cached_stats = cached.run_with_sink(policy, &mut cached_sink);
-        assert_eq!(fresh_stats, cached_stats, "{} diverged", policy.name());
-        let fresh_events = fresh_sink.into_events();
-        assert_eq!(fresh_events, cached_sink.into_events());
-        let slow = reference(&rewritten.program, &rewritten.layout, &trace, &cfg, policy);
-        assert_eq!(
-            (fresh_stats, fresh_events),
-            slow,
-            "{} vs reference",
-            policy.name()
-        );
-    }
-}
-
-#[test]
 fn eviction_mechanisms_match_reference_on_injected_programs() {
     // Injected invalidate instructions are the only way the Demote/NoOp
     // mechanisms act; rewrite the program with a manual plan so production
@@ -430,10 +369,13 @@ fn eviction_mechanisms_match_reference_on_injected_programs() {
     }
     let rewritten = rewrite(&app.program, &base_layout, &plan);
 
-    for mechanism in [
-        EvictionMechanism::Invalidate,
-        EvictionMechanism::Demote,
-        EvictionMechanism::NoOp,
+    // Demand-MIN checks an offline oracle's future index over the
+    // relinked layout too.
+    for (mechanism, policy) in [
+        (EvictionMechanism::Invalidate, PolicyKind::LRU),
+        (EvictionMechanism::Invalidate, PolicyKind::DEMAND_MIN),
+        (EvictionMechanism::Demote, PolicyKind::LRU),
+        (EvictionMechanism::NoOp, PolicyKind::LRU),
     ] {
         let mut cfg = small_cfg(PrefetcherKind::NextLine);
         cfg.eviction_mechanism = mechanism;
@@ -442,8 +384,8 @@ fn eviction_mechanisms_match_reference_on_injected_programs() {
             &rewritten.layout,
             &trace,
             &cfg,
-            PolicyKind::LRU,
-            &format!("{mechanism:?}"),
+            policy,
+            &format!("{mechanism:?}, {}", policy.name()),
         );
         assert!(stats.invalidate_instructions > 0);
         match mechanism {

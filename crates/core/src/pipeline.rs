@@ -10,7 +10,7 @@ use ripple_program::{
     Program,
 };
 use ripple_sim::{
-    ideal_policy_for, EvictionMechanism, PlanCache, PolicyKind, SimConfig, SimSession, SimStats,
+    ideal_policy_for, EvictionMechanism, PolicyKind, SimConfig, SimSession, SimStats,
 };
 use ripple_trace::BbTrace;
 
@@ -478,14 +478,9 @@ impl<'p> Ripple<'p> {
             Some(relinked) => {
                 let mut under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
                 under_cfg.eviction_mechanism = self.config.mechanism;
-                let session = SimSession::new_cached(
-                    &relinked.program,
-                    &relinked.layout,
-                    eval_trace,
-                    under_cfg,
-                    relinked.plan_cache.as_ref(),
-                )
-                .with_recorder(self.recorder.clone());
+                let session =
+                    SimSession::new(&relinked.program, &relinked.layout, eval_trace, under_cfg)
+                        .with_recorder(self.recorder.clone());
                 let underlying = self.config.underlying;
                 let job: Job<'_, SimStats> = Box::new(|| session.run(underlying));
                 time_phase(&*self.recorder, "eval.sim_runs", || {
@@ -567,10 +562,6 @@ impl<'p> Ripple<'p> {
             rewrite(self.program, self.layout, plan)
         });
         let mut final_round = None;
-        // Per-function line lists survive relinking for every function the
-        // round didn't dirty; the cache from each round's session seeds the
-        // next round's (and the final evaluation's) fetch-plan splice.
-        let mut plan_cache: Option<PlanCache> = None;
         for round in 0..rounds {
             let mut oracle_cfg = self
                 .config
@@ -579,18 +570,16 @@ impl<'p> Ripple<'p> {
                 .with_policy(self.config.analysis_oracle());
             oracle_cfg.eviction_mechanism = EvictionMechanism::NoOp;
             let mut windows_i = WindowSink::new();
-            plan_cache = Some(time_phase(&*self.recorder, "eval.oracle_replay", || {
-                let session = SimSession::new_cached(
+            time_phase(&*self.recorder, "eval.oracle_replay", || {
+                let session = SimSession::new(
                     &rewritten.program,
                     &rewritten.layout,
                     eval_trace,
                     oracle_cfg.clone(),
-                    plan_cache.as_ref(),
                 )
                 .with_recorder(self.recorder.clone());
                 let _ = session.run_with_sink(oracle_cfg.policy, &mut windows_i);
-                session.plan_cache()
-            }));
+            });
             let analysis_i = time_phase(&*self.recorder, "eval.window_analysis", || {
                 analyze_windows(
                     &rewritten.program,
@@ -645,7 +634,6 @@ impl<'p> Ripple<'p> {
         Relinked {
             program: rewritten.program,
             layout: rewritten.layout,
-            plan_cache,
             final_round,
         }
     }
@@ -655,8 +643,6 @@ impl<'p> Ripple<'p> {
 struct Relinked {
     program: Program,
     layout: Layout,
-    /// The fixpoint's fetch-plan cache, to seed the final binary's session.
-    plan_cache: Option<PlanCache>,
     /// The final-layout analysis round (`None` when it did not run).
     final_round: Option<FinalRound>,
 }

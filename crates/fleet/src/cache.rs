@@ -1,20 +1,19 @@
 //! The plan-artifact cache: reusing training outputs across epochs.
 //!
 //! Training an epoch produces a bundle of artifacts — the injection
-//! plan, the relinked program/layout, the relinked layout's interned
-//! fetch plan ([`PlanCache`]), and the temperature profile. All of them
-//! are pure functions of (service binary layout, aggregated profile), so
-//! undrifted epochs can reuse them wholesale. The cache keys on exactly
-//! those two inputs and is *observation-neutral*: a warm cache changes
-//! wall time, never a single reported number (the determinism tests
-//! compare warm and cold reports).
+//! plan, the relinked program/layout, and the temperature profile. All of
+//! them are pure functions of (service binary layout, aggregated
+//! profile), so undrifted epochs can reuse them wholesale. The cache keys
+//! on exactly those two inputs and is *observation-neutral*: a warm cache
+//! changes wall time, never a single reported number (the determinism
+//! tests compare warm and cold reports).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ripple::CoverageStats;
 use ripple_program::{InjectionPlan, Layout, LineAddr, Program, Rewritten};
-use ripple_sim::{PlanCache, TemperatureMap};
+use ripple_sim::TemperatureMap;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1_0000_01b3;
@@ -66,9 +65,6 @@ pub struct PlanArtifact {
     pub coverage: CoverageStats,
     /// The relinked program and layout the plan was applied to.
     pub rewritten: Rewritten,
-    /// The relinked layout's interned fetch plan, spliced into rollout
-    /// sessions via [`ripple_sim::SimSession::new_cached`].
-    pub plan_cache: PlanCache,
     /// The temperature profile the plan was trained against.
     pub temperatures: TemperatureMap,
 }
@@ -184,17 +180,9 @@ mod tests {
         let layout = Layout::new(&app.program, &LayoutConfig::default());
         let plan = InjectionPlan::default();
         let rewritten = ripple_program::rewrite(&app.program, &layout, &plan);
-        let trace = ripple_trace::BbTrace::default();
-        let session = ripple_sim::SimSession::new(
-            &rewritten.program,
-            &rewritten.layout,
-            &trace,
-            ripple_sim::SimConfig::default(),
-        );
         Arc::new(PlanArtifact {
             plan,
             coverage: CoverageStats::default(),
-            plan_cache: session.plan_cache(),
             rewritten,
             temperatures: TemperatureMap::new(),
         })

@@ -238,18 +238,10 @@ pub fn run_fleet_with_cache(
                     )?;
                     let (plan, coverage) = ripple.plan()?;
                     let rewritten = rewrite(&svc.program, &svc.layout, &plan);
-                    let plan_cache = SimSession::new(
-                        &rewritten.program,
-                        &rewritten.layout,
-                        &profile.train_trace,
-                        sim_cfg.clone(),
-                    )
-                    .plan_cache();
                     let art = Arc::new(PlanArtifact {
                         plan,
                         coverage,
                         rewritten,
-                        plan_cache,
                         temperatures: temperatures_from_counts(profile.counts.clone()),
                     });
                     cache.insert(s, layout_hashes[s], profile.fingerprint, art.clone());
@@ -275,12 +267,11 @@ pub fn run_fleet_with_cache(
                         Box::new(move || {
                             let shard = shard.as_ref()?;
                             let run_artifact = |art: &PlanArtifact| {
-                                SimSession::new_cached(
+                                SimSession::new(
                                     &art.rewritten.program,
                                     &art.rewritten.layout,
                                     &shard.trace,
                                     sim_cfg.clone(),
-                                    Some(&art.plan_cache),
                                 )
                                 .run(PolicyKind::LRU)
                                 .mpki()

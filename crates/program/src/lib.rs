@@ -56,6 +56,6 @@ pub use inst::{InstKind, Instruction, INVALIDATE_BYTES};
 pub use layout::{Layout, LayoutConfig, LineRange};
 pub use program::{Program, ProgramBuilder, Successors};
 pub use rewrite::{
-    identity_rewrite, line_origins, patch_invalidates, rewrite, rewrite_incremental, Injection,
-    InjectionPlan, LineMapper, LineOrigins, Rewritten, NOOP_LINE,
+    line_origins, patch_invalidates, rewrite, rewrite_incremental, Injection, InjectionPlan,
+    LineMapper, LineOrigins, Rewritten, NOOP_LINE,
 };

@@ -13,7 +13,7 @@ use ripple_json::{object, FromJson, JsonError, ToJson, Value};
 use crate::addr::{Addr, LineAddr, CACHE_LINE_BYTES};
 use crate::ids::{BlockId, CodeLoc, FuncId};
 use crate::inst::Instruction;
-use crate::layout::{Layout, LayoutConfig, LineRange};
+use crate::layout::{Layout, LineRange};
 use crate::program::Program;
 
 /// One planned injection: when `cue` executes, invalidate the line holding
@@ -269,15 +269,9 @@ pub struct Rewritten {
 pub fn rewrite(program: &Program, old_layout: &Layout, plan: &InjectionPlan) -> Rewritten {
     let mut new_program = program.clone();
 
-    // Group injections per cue block, preserving plan order.
-    let mut per_block: HashMap<BlockId, Vec<CodeLoc>> = HashMap::new();
-    for inj in plan.injections() {
-        per_block.entry(inj.cue).or_default().push(inj.victim);
-    }
-
     // Insert placeholder invalidates carrying the *old-layout* line; the
     // operands are remapped once the new layout is known.
-    for (cue, victims) in &per_block {
+    for (cue, victims) in &victims_per_block(plan) {
         let instrs: Vec<Instruction> = victims
             .iter()
             .map(|&loc| Instruction::invalidate(old_layout.line_of(loc)))
@@ -499,19 +493,12 @@ pub fn patch_invalidates(program: &mut Program, assignments: &HashMap<BlockId, V
     }
 }
 
-/// Convenience: lays out `program` with `config` and applies an empty plan,
-/// returning an identity [`Rewritten`]. Useful for baselines that must flow
-/// through the same types as Ripple-optimized binaries.
-pub fn identity_rewrite(program: &Program, config: &LayoutConfig) -> Rewritten {
-    let layout = Layout::new(program, config);
-    rewrite(program, &layout, &InjectionPlan::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::function::CodeKind;
     use crate::inst::{InstKind, INVALIDATE_BYTES};
+    use crate::layout::LayoutConfig;
     use crate::program::ProgramBuilder;
 
     fn linear_program(block_bytes: &[u8]) -> Program {
@@ -587,6 +574,32 @@ mod tests {
                 assert_eq!(rw.mapper.map(old_line), new_line);
             }
             other => panic!("expected invalidate, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn victims_of_one_cue_keep_plan_order() {
+        // One line per block, so every victim's operand is distinct.
+        let p = linear_program(&[64, 64, 64, 64]);
+        let layout = Layout::new(&p, &LayoutConfig::default());
+        let victims = [3, 1, 2].map(|b| CodeLoc::new(BlockId::new(b), 0));
+        let plan: InjectionPlan = victims
+            .iter()
+            .map(|&victim| Injection {
+                cue: BlockId::new(0),
+                victim,
+            })
+            .collect();
+        let rw = rewrite(&p, &layout, &plan);
+        let cue = rw.program.block(BlockId::new(0));
+        assert_eq!(cue.injected_prefix_len(), 3);
+        for (inst, &victim) in cue.instructions().iter().zip(&victims) {
+            match inst.kind() {
+                InstKind::Invalidate { line } => {
+                    assert_eq!(line, rw.mapper.map(layout.line_of(victim)));
+                }
+                other => panic!("expected invalidate, got {other:?}"),
+            }
         }
     }
 
@@ -692,14 +705,6 @@ mod tests {
         let (first, last) = layout.line_bounds().unwrap();
         assert_eq!(origins.get(first), Some(CodeLoc::new(BlockId::new(0), 0)));
         assert_eq!(origins.get(last), Some(CodeLoc::new(BlockId::new(1), 24)));
-    }
-
-    #[test]
-    fn identity_rewrite_matches_layout() {
-        let p = linear_program(&[32, 16]);
-        let rw = identity_rewrite(&p, &LayoutConfig::default());
-        assert_eq!(rw.layout, Layout::new(&p, &LayoutConfig::default()));
-        assert_eq!(rw.program, p);
     }
 
     /// Multi-function program: `funcs[i]` lists block byte sizes of f_i.

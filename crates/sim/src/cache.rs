@@ -44,7 +44,7 @@ const EMPTY_TAG: u32 = u32::MAX;
 /// [`LineAddr`](ripple_program::LineAddr).
 ///
 /// Tag state is stored structure-of-arrays: `tags` is a dense `u32` array
-/// (sets × assoc, row-major, [`EMPTY_TAG`] = empty way) so the per-access
+/// (sets × assoc, row-major, `EMPTY_TAG` = empty way) so the per-access
 /// tag match is a contiguous word scan the compiler can vectorize, and the
 /// rarely-read prefetch bits live in a separate parallel array instead of
 /// padding every tag to eight bytes.

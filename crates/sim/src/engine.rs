@@ -38,7 +38,7 @@ use ripple_trace::{BbTrace, TraceHealth};
 use crate::capture::{capture, ColumnarStream, StreamLimitError};
 use crate::config::{PolicyKind, SimConfig};
 use crate::generator::{warmup_until, RequestGenerator};
-use crate::intern::{BlockTable, FetchPlan, LineTable, PlanCache};
+use crate::intern::{BlockTable, FetchPlan, LineTable};
 use crate::policy::{build_ideal_policy, build_policy, FutureIndex, ReplacementPolicy};
 use crate::sink::{EvictionSink, NullSink};
 use crate::stats::SimStats;
@@ -58,7 +58,7 @@ struct Recording {
 /// and shares the capture and its [`FutureIndex`] across runs, including
 /// concurrent runs from multiple threads, since `&self` suffices to run.
 /// Once a capture exists every run replays it instead of regenerating the
-/// request stream (see the [module docs](self) for the driver rule).
+/// request stream.
 ///
 /// The per-run policy overrides `config.policy`; everything else in the
 /// config (geometry, prefetcher, eviction mechanism, scripted
@@ -127,21 +127,8 @@ impl<'a> SimSession<'a> {
         trace: &'a BbTrace,
         config: SimConfig,
     ) -> Self {
-        Self::new_cached(program, layout, trace, config, None)
-    }
-
-    /// [`SimSession::new`], splicing the fetch plan from a previous
-    /// session's [`PlanCache`] where per-function layout hashes match
-    /// (identical plans either way; see [`FetchPlan::build_cached`]).
-    pub fn new_cached(
-        program: &'a Program,
-        layout: &'a Layout,
-        trace: &'a BbTrace,
-        config: SimConfig,
-        prev: Option<&PlanCache>,
-    ) -> Self {
         let table = LineTable::build(layout);
-        let plan = FetchPlan::build_cached(program, layout, &table, prev);
+        let plan = FetchPlan::build(program, layout, &table);
         let blocks = BlockTable::build(program, &table);
         SimSession {
             program,
@@ -207,13 +194,6 @@ impl<'a> SimSession<'a> {
     /// The trace being simulated.
     pub fn trace(&self) -> &'a BbTrace {
         self.trace
-    }
-
-    /// Extracts this session's reusable interning artifacts, to seed a
-    /// later session over a re-linked layout via
-    /// [`SimSession::new_cached`].
-    pub fn plan_cache(&self) -> PlanCache {
-        PlanCache::capture(self.program, self.layout, &self.table, &self.plan)
     }
 
     /// Simulates under `policy`, discarding evictions.
@@ -472,7 +452,7 @@ pub fn simulate_with_sink(
 /// fetch hits, so cycles are purely `instructions × base_cpi`. This is
 /// the Fig. 1 upper bound.
 pub fn simulate_ideal_cache(program: &Program, trace: &BbTrace, config: &SimConfig) -> SimStats {
-    let warmup = (trace.len() as f64 * config.warmup_fraction.clamp(0.0, 0.9)) as usize;
+    let warmup = warmup_until(trace.len(), config) as usize;
     let mut stats = SimStats {
         blocks: (trace.len() - warmup) as u64,
         ..SimStats::default()
@@ -485,24 +465,6 @@ pub fn simulate_ideal_cache(program: &Program, trace: &BbTrace, config: &SimConf
     let total = stats.instructions + stats.invalidate_instructions;
     stats.cycles = total as f64 * config.base_cpi;
     stats
-}
-
-/// Convenience: run the baseline configuration (LRU, chosen prefetcher)
-/// and an ideal-replacement configuration, returning `(baseline, ideal)`.
-///
-/// The ideal oracle is prefetch-aware ([`PolicyKind::DEMAND_MIN`]) whenever
-/// a prefetcher is active, matching §II-C, and plain OPT otherwise.
-pub fn baseline_and_ideal(
-    program: &Program,
-    layout: &Layout,
-    trace: &BbTrace,
-    config: &SimConfig,
-) -> (SimStats, SimStats) {
-    let session = SimSession::new(program, layout, trace, config.clone());
-    (
-        session.run(PolicyKind::LRU),
-        session.run(ideal_policy_for(config.prefetcher)),
-    )
 }
 
 /// The ideal oracle matching a prefetcher configuration: prefetch-aware
@@ -612,6 +574,20 @@ mod tests {
     }
 
     #[test]
+    fn ideal_cache_counts_the_blocks_a_run_counts() {
+        // Out-of-range fractions too: both clamp through `warmup_until`.
+        let (p, l, t) = small_setup();
+        for fraction in [0.0, 0.37, 0.95, -1.0] {
+            let mut cfg = small_cfg();
+            cfg.warmup_fraction = fraction;
+            let ideal = simulate_ideal_cache(&p, &t, &cfg);
+            let lru = simulate(&p, &l, &t, &cfg);
+            assert_eq!(ideal.blocks, lru.blocks, "warmup fraction {fraction}");
+            assert_eq!(ideal.instructions, lru.instructions);
+        }
+    }
+
+    #[test]
     fn eviction_sink_receives_ordered_log() {
         let (p, l, t) = small_setup();
         let cfg = small_cfg();
@@ -637,11 +613,16 @@ mod tests {
     }
 
     #[test]
-    fn baseline_and_ideal_picks_demand_min_under_prefetching() {
-        let (p, l, t) = small_setup();
-        let cfg = small_cfg().with_prefetcher(PrefetcherKind::Fdip);
-        let (base, ideal) = baseline_and_ideal(&p, &l, &t, &cfg);
-        assert!(ideal.demand_misses <= base.demand_misses);
+    fn ideal_policy_for_picks_demand_min_under_prefetching() {
+        assert_eq!(ideal_policy_for(PrefetcherKind::None), PolicyKind::OPT);
+        for pf in [PrefetcherKind::NextLine, PrefetcherKind::Fdip] {
+            assert_eq!(
+                ideal_policy_for(pf),
+                PolicyKind::DEMAND_MIN,
+                "{}",
+                pf.name()
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! different tables are not comparable; [`LineAddr`] remains the boundary
 //! type everywhere results leave the simulator (sinks, stats, analysis).
 
-use ripple_program::{BlockId, InstKind, Layout, LineAddr, Program, CACHE_LINE_BYTES};
+use ripple_program::{BlockId, InstKind, Layout, LineAddr, Program};
 
 /// Dense index of a cache line within one layout's [`LineTable`].
 ///
@@ -204,96 +204,12 @@ impl FetchPlan {
         FetchPlan { ids, bounds }
     }
 
-    /// [`FetchPlan::build`] with per-function splicing from a previous
-    /// layout's [`PlanCache`].
-    ///
-    /// Functions whose layout signature (the sequence of block sizes)
-    /// matches the cached one occupy the same lines *relative to their
-    /// 64-byte-aligned start*, so their cached id lists are copied with a
-    /// constant delta instead of re-walking [`Layout::lines_of_block`].
-    /// Functions that changed — and everything when the layouts' function
-    /// alignment is not a whole number of cache lines — fall back to the
-    /// fresh walk. The result is always identical to [`FetchPlan::build`].
-    #[allow(clippy::expect_used)] // same capacity/coverage contract as `build`
-    pub fn build_cached(
-        program: &Program,
-        layout: &Layout,
-        table: &LineTable,
-        prev: Option<&PlanCache>,
-    ) -> Self {
-        let align = layout.config().function_align;
-        let splicable = prev.is_some_and(|p| {
-            align != 0 && align.is_multiple_of(CACHE_LINE_BYTES) && p.align == align
-        });
-        let Some(prev) = splicable.then_some(prev).flatten() else {
-            return FetchPlan::build(program, layout, table);
-        };
-        // Per-function id delta, for functions whose cached span splices.
-        let mut delta: Vec<Option<u32>> = vec![None; program.num_functions()];
-        for func in program.functions() {
-            let f = func.id().index();
-            let Some(&first) = func.blocks().first() else {
-                continue;
-            };
-            if prev.func_sig.get(f) != Some(&function_signature(layout, func.blocks()))
-                || prev.func_start[f] == LineId::INVALID.get()
-            {
-                continue;
-            }
-            let new_start = table
-                .lookup(layout.block_addr(first).line())
-                .expect("every block line is interned by its layout's table")
-                .get();
-            delta[f] = Some(new_start.wrapping_sub(prev.func_start[f]));
-        }
-        let n = program.num_blocks();
-        let mut ids = Vec::with_capacity(prev.plan.ids.len());
-        let mut bounds = Vec::with_capacity(n + 1);
-        bounds.push(0u32);
-        for block in program.blocks() {
-            match delta[block.func().index()] {
-                Some(d) => {
-                    for &id in prev.plan.lines_of(block.id()) {
-                        ids.push(LineId(id.get().wrapping_add(d)));
-                    }
-                }
-                None => {
-                    for line in layout.lines_of_block(block.id()) {
-                        let id = table
-                            .lookup(line)
-                            .expect("every block line is interned by its layout's table");
-                        ids.push(id);
-                    }
-                }
-            }
-            let end = u32::try_from(ids.len()).expect("fetch plan exceeds u32 entries");
-            bounds.push(end);
-        }
-        FetchPlan { ids, bounds }
-    }
-
     /// The interned lines of `block`, in fetch order.
     #[inline]
     pub fn lines_of(&self, block: BlockId) -> &[LineId] {
         let i = block.index();
         &self.ids[self.bounds[i] as usize..self.bounds[i + 1] as usize]
     }
-}
-
-/// FNV-1a over a function's block-size sequence under one layout. Two
-/// functions with equal signatures (and cache-line-multiple alignment)
-/// occupy identical lines relative to their aligned start addresses.
-fn function_signature(layout: &Layout, blocks: &[BlockId]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in blocks {
-        let mut v = layout.block_size(b);
-        for _ in 0..4 {
-            h ^= u64::from(v & 0xff);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            v >>= 8;
-        }
-    }
-    h
 }
 
 /// Per-block facts every simulation pass reads at each trace step,
@@ -367,56 +283,6 @@ impl BlockTable {
     }
 }
 
-/// Reusable per-layout interning artifacts, extracted from one session and
-/// fed to the next (see [`SimSession::plan_cache`](crate::SimSession)):
-/// the [`LineTable`], the [`FetchPlan`], and a per-function layout hash
-/// keying which functions' id spans can be spliced instead of rebuilt.
-///
-/// The fixpoint loop of Ripple's evaluation re-links the program every
-/// round; between rounds only the functions whose injected prefixes
-/// changed move lines relative to their starts, so successive sessions
-/// rebuild only those.
-#[derive(Debug, Clone)]
-pub struct PlanCache {
-    plan: FetchPlan,
-    /// FNV-1a of each function's block-size sequence.
-    func_sig: Vec<u64>,
-    /// Raw id of the line holding each function's first block
-    /// ([`LineId::INVALID`] for functions without blocks).
-    func_start: Vec<u32>,
-    /// `function_align` of the layout this cache was built from.
-    align: u64,
-}
-
-impl PlanCache {
-    /// Captures the reusable artifacts of `(program, layout, table, plan)`.
-    pub(crate) fn capture(
-        program: &Program,
-        layout: &Layout,
-        table: &LineTable,
-        plan: &FetchPlan,
-    ) -> Self {
-        let nf = program.num_functions();
-        let mut func_sig = Vec::with_capacity(nf);
-        let mut func_start = Vec::with_capacity(nf);
-        for func in program.functions() {
-            func_sig.push(function_signature(layout, func.blocks()));
-            let start = func
-                .blocks()
-                .first()
-                .and_then(|&b| table.lookup(layout.block_addr(b).line()))
-                .map_or(LineId::INVALID.get(), LineId::get);
-            func_start.push(start);
-        }
-        PlanCache {
-            plan: plan.clone(),
-            func_sig,
-            func_start,
-            align: layout.config().function_align,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,18 +346,28 @@ mod tests {
 
     #[test]
     fn fetch_plan_matches_layout_enumeration() {
-        let (p, l) = sample();
-        let table = LineTable::build(&l);
-        let plan = FetchPlan::build(&p, &l, &table);
-        for i in 0..p.num_blocks() {
-            let block = BlockId::new(i as u32);
-            let from_plan: Vec<LineAddr> = plan
-                .lines_of(block)
-                .iter()
-                .map(|&id| table.line(id))
-                .collect();
-            let from_layout: Vec<LineAddr> = l.lines_of_block(block).collect();
-            assert_eq!(from_plan, from_layout);
+        // The original layout, and a relinked one with an injected prefix.
+        let (p0, l0) = sample();
+        let mut inject = ripple_program::InjectionPlan::new();
+        inject.push(ripple_program::Injection {
+            cue: BlockId::new(0),
+            victim: ripple_program::CodeLoc::new(BlockId::new(1), 0),
+        });
+        let rw = ripple_program::rewrite(&p0, &l0, &inject);
+        assert_ne!(rw.layout, l0);
+        for (p, l) in [(&p0, &l0), (&rw.program, &rw.layout)] {
+            let table = LineTable::build(l);
+            let plan = FetchPlan::build(p, l, &table);
+            for i in 0..p.num_blocks() {
+                let block = BlockId::new(i as u32);
+                let from_plan: Vec<LineAddr> = plan
+                    .lines_of(block)
+                    .iter()
+                    .map(|&id| table.line(id))
+                    .collect();
+                let from_layout: Vec<LineAddr> = l.lines_of_block(block).collect();
+                assert_eq!(from_plan, from_layout);
+            }
         }
     }
 

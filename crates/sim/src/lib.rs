@@ -27,8 +27,8 @@
 //! paths are checked against lives in the `ripple-check` crate.
 //!
 //! Entry points: [`simulate`], [`simulate_with_sink`],
-//! [`simulate_ideal_cache`], [`baseline_and_ideal`], and — for policy
-//! matrices sharing one capture — [`SimSession`]. Evictions stream into an
+//! [`simulate_ideal_cache`], and — for policy matrices sharing one
+//! capture — [`SimSession`]. Evictions stream into an
 //! [`EvictionSink`] instead of being materialized by the engine.
 
 #![warn(missing_docs)]
@@ -55,10 +55,9 @@ pub use config::{
     CacheGeometry, EvictionMechanism, PrefetcherKind, SimConfig, SimConfigBuilder, SimConfigError,
 };
 pub use engine::{
-    baseline_and_ideal, ideal_policy_for, simulate, simulate_ideal_cache, simulate_with_sink,
-    SimSession,
+    ideal_policy_for, simulate, simulate_ideal_cache, simulate_with_sink, SimSession,
 };
-pub use intern::{FetchPlan, LineId, LineTable, PlanCache};
+pub use intern::{FetchPlan, LineId, LineTable};
 pub use policy::registry::PolicyKind;
 pub use policy::{
     build_ideal_policy, build_policy, AccessInfo, DemandMinPolicy, DrripPolicy, FutureIndex,

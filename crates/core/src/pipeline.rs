@@ -604,12 +604,15 @@ impl<'p> Ripple<'p> {
             // the reserved slot budget (each window picks an eligible cue
             // that still has a free slot) and patch operands in place.
             let (plan_i, coverage_i) = time_phase(&*self.recorder, "eval.patch", || {
+                // `plan` is what the binary was linked with: one slot per
+                // injection at its cue, with no scan over every block.
                 let mut slots: HashMap<BlockId, usize> = HashMap::new();
-                for block in rewritten.program.blocks() {
-                    if block.injected_prefix_len() > 0 {
-                        slots.insert(block.id(), block.injected_prefix_len() as usize);
-                    }
+                for inj in plan.injections() {
+                    *slots.entry(inj.cue).or_default() += 1;
                 }
+                debug_assert!(slots.iter().all(|(&cue, &n)| {
+                    rewritten.program.block(cue).injected_prefix_len() as usize == n
+                }));
                 let (plan_i, coverage_i) = analysis_i.plan_for_slots(threshold, &slots);
                 let mut assignments: HashMap<BlockId, Vec<LineAddr>> = HashMap::new();
                 for inj in plan_i.injections() {

@@ -1,5 +1,8 @@
 //! Basic blocks.
 
+use std::fmt;
+use std::sync::Arc;
+
 use crate::ids::{BlockId, FuncId};
 use crate::inst::{InstKind, Instruction};
 
@@ -10,27 +13,42 @@ use crate::inst::{InstKind, Instruction};
 /// of injected [`InstKind::Invalidate`] instructions before its original
 /// instructions; [`BasicBlock::injected_prefix_len`] exposes where the
 /// original code begins.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A block does not own its instructions: it is a `start..start + len`
+/// view into immutable shared storage. Every block of a built program
+/// views the program's one instruction arena, so cloning a program (or a
+/// block) copies no instructions. Only a block the rewriter touches gets
+/// storage of its own, holding its injected prefix and its original
+/// instructions. Equality compares instruction content, never storage.
+#[derive(Clone)]
 pub struct BasicBlock {
     id: BlockId,
     func: FuncId,
     pos_in_func: u32,
-    instructions: Vec<Instruction>,
+    code: Arc<[Instruction]>,
+    start: u32,
+    len: u32,
     injected_prefix: u32,
 }
 
 impl BasicBlock {
+    /// A block viewing `code[start..start + len]`.
     pub(crate) fn new(
         id: BlockId,
         func: FuncId,
         pos_in_func: u32,
-        instructions: Vec<Instruction>,
+        code: Arc<[Instruction]>,
+        start: u32,
+        len: u32,
     ) -> Self {
+        debug_assert!(start as usize + len as usize <= code.len());
         BasicBlock {
             id,
             func,
             pos_in_func,
-            instructions,
+            code,
+            start,
+            len,
             injected_prefix: 0,
         }
     }
@@ -56,7 +74,8 @@ impl BasicBlock {
     /// All instructions, including any injected invalidation prefix.
     #[inline]
     pub fn instructions(&self) -> &[Instruction] {
-        &self.instructions
+        let start = self.start as usize;
+        &self.code[start..start + self.len as usize]
     }
 
     /// The number of injected invalidation instructions at the head of this
@@ -69,12 +88,12 @@ impl BasicBlock {
     /// The block's original instructions, excluding any injected prefix.
     #[inline]
     pub fn original_instructions(&self) -> &[Instruction] {
-        &self.instructions[self.injected_prefix as usize..]
+        &self.instructions()[self.injected_prefix as usize..]
     }
 
     /// Byte size of the injected prefix.
     pub fn injected_prefix_bytes(&self) -> u32 {
-        self.instructions[..self.injected_prefix as usize]
+        self.instructions()[..self.injected_prefix as usize]
             .iter()
             .map(|i| u32::from(i.size_bytes()))
             .sum()
@@ -82,7 +101,7 @@ impl BasicBlock {
 
     /// Total encoded size of the block in bytes.
     pub fn size_bytes(&self) -> u32 {
-        self.instructions
+        self.instructions()
             .iter()
             .map(|i| u32::from(i.size_bytes()))
             .sum()
@@ -91,13 +110,13 @@ impl BasicBlock {
     /// Number of instructions (including injected ones).
     #[inline]
     pub fn len(&self) -> usize {
-        self.instructions.len()
+        self.len as usize
     }
 
     /// Whether the block has no instructions.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.instructions.is_empty()
+        self.len == 0
     }
 
     /// The block's terminator, if its last instruction transfers control.
@@ -105,60 +124,99 @@ impl BasicBlock {
     /// Blocks without a terminator fall through to the next block in
     /// function order.
     pub fn terminator(&self) -> Option<InstKind> {
-        self.instructions
+        self.instructions()
             .last()
             .map(|i| i.kind())
             .filter(|k| k.is_terminator())
     }
 
-    /// Appends an instruction. Used only by the builder; blocks are
-    /// immutable once a [`Program`](crate::Program) has been finished.
-    pub(crate) fn push(&mut self, inst: Instruction) {
-        self.instructions.push(inst);
-    }
-
     /// Injects `invalidates` at the head of this block, recording them as
-    /// prefix instructions. Used by the rewriter.
-    pub(crate) fn inject_prefix(&mut self, invalidates: Vec<Instruction>) {
-        debug_assert!(
-            invalidates.iter().all(|i| i.kind().is_invalidate()),
-            "only invalidate instructions may be injected"
-        );
-        let n = invalidates.len() as u32;
-        let mut v = invalidates;
-        v.extend_from_slice(&self.instructions);
-        self.instructions = v;
-        self.injected_prefix += n;
+    /// prefix instructions. The block moves to storage of its own. Used by
+    /// the rewriter.
+    pub(crate) fn inject_prefix(&mut self, invalidates: &[Instruction]) {
+        self.own(joined(invalidates, self.instructions()));
+        self.injected_prefix += invalidates.len() as u32;
     }
 
     /// Replaces the injected invalidation prefix wholesale: any existing
     /// prefix is removed and `invalidates` becomes the new prefix. Used by
     /// the incremental rewriter when a block's victim list changes between
-    /// fixpoint rounds; `set_injected_prefix(vec![])` restores the block to
-    /// its original instruction stream.
-    pub(crate) fn set_injected_prefix(&mut self, invalidates: Vec<Instruction>) {
-        debug_assert!(
-            invalidates.iter().all(|i| i.kind().is_invalidate()),
-            "only invalidate instructions may be injected"
-        );
-        let n = invalidates.len() as u32;
-        let mut v = invalidates;
-        v.extend_from_slice(&self.instructions[self.injected_prefix as usize..]);
-        self.instructions = v;
-        self.injected_prefix = n;
+    /// fixpoint rounds; `set_injected_prefix(&[])` restores the block to
+    /// its original instruction stream by narrowing its view, without
+    /// copying.
+    pub(crate) fn set_injected_prefix(&mut self, invalidates: &[Instruction]) {
+        if invalidates.is_empty() {
+            self.start += self.injected_prefix;
+            self.len -= self.injected_prefix;
+        } else {
+            self.own(joined(invalidates, self.original_instructions()));
+        }
+        self.injected_prefix = invalidates.len() as u32;
     }
 
-    /// Rewrites injected invalidate operands in place. Used by the rewriter
-    /// after relinking to translate old-layout lines to new-layout lines.
+    /// Points this block at `code`, storage of its own.
+    fn own(&mut self, code: Arc<[Instruction]>) {
+        self.start = 0;
+        self.len = code.len() as u32;
+        self.code = code;
+    }
+
+    /// Rewrites injected invalidate operands. Used by the rewriter after
+    /// relinking to translate old-layout lines to new-layout lines.
+    ///
+    /// Storage this block alone holds is edited in place; storage it
+    /// shares (with a clone of its program) is copied first, so the edit
+    /// never shows through another program.
     pub(crate) fn map_invalidate_operands(
         &mut self,
         mut f: impl FnMut(crate::addr::LineAddr) -> crate::addr::LineAddr,
     ) {
-        for inst in &mut self.instructions[..self.injected_prefix as usize] {
+        let prefix = self.injected_prefix as usize;
+        if prefix == 0 {
+            return;
+        }
+        // A prefixed block always has storage of its own (see `own`), so
+        // a shared copy never drags the program's arena along.
+        let start = self.start as usize;
+        for inst in &mut Arc::make_mut(&mut self.code)[start..start + prefix] {
             if let InstKind::Invalidate { line } = inst.kind() {
                 *inst = Instruction::invalidate(f(line));
             }
         }
+    }
+}
+
+/// Fresh storage holding the injected `prefix` then `rest`, in one
+/// allocation.
+fn joined(prefix: &[Instruction], rest: &[Instruction]) -> Arc<[Instruction]> {
+    debug_assert!(
+        prefix.iter().all(|i| i.kind().is_invalidate()),
+        "only invalidate instructions may be injected"
+    );
+    prefix.iter().chain(rest).copied().collect()
+}
+
+impl PartialEq for BasicBlock {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.func == other.func
+            && self.pos_in_func == other.pos_in_func
+            && self.injected_prefix == other.injected_prefix
+            && self.instructions() == other.instructions()
+    }
+}
+
+impl Eq for BasicBlock {}
+
+impl fmt::Debug for BasicBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BasicBlock")
+            .field("id", &self.id)
+            .field("func", &self.func)
+            .field("pos_in_func", &self.pos_in_func)
+            .field("instructions", &self.instructions())
+            .field("injected_prefix", &self.injected_prefix)
+            .finish()
     }
 }
 
@@ -167,10 +225,14 @@ mod tests {
     use super::*;
     use crate::addr::LineAddr;
 
+    /// A block viewing all of `code`.
+    fn block_of(id: u32, code: Vec<Instruction>) -> BasicBlock {
+        let len = code.len() as u32;
+        BasicBlock::new(BlockId::new(id), FuncId::new(0), id, code.into(), 0, len)
+    }
+
     fn sample_block() -> BasicBlock {
-        BasicBlock::new(
-            BlockId::new(0),
-            FuncId::new(0),
+        block_of(
             0,
             vec![
                 Instruction::other(4),
@@ -191,12 +253,7 @@ mod tests {
 
     #[test]
     fn fallthrough_block_has_no_terminator() {
-        let b = BasicBlock::new(
-            BlockId::new(1),
-            FuncId::new(0),
-            1,
-            vec![Instruction::other(4)],
-        );
+        let b = block_of(1, vec![Instruction::other(4)]);
         assert_eq!(b.terminator(), None);
     }
 
@@ -204,7 +261,7 @@ mod tests {
     fn inject_prefix_tracks_original_instructions() {
         let mut b = sample_block();
         let original = b.instructions().to_vec();
-        b.inject_prefix(vec![
+        b.inject_prefix(&[
             Instruction::invalidate(LineAddr::new(5)),
             Instruction::invalidate(LineAddr::new(9)),
         ]);
@@ -219,12 +276,59 @@ mod tests {
     #[test]
     fn map_invalidate_operands_only_touches_prefix() {
         let mut b = sample_block();
-        b.inject_prefix(vec![Instruction::invalidate(LineAddr::new(5))]);
+        b.inject_prefix(&[Instruction::invalidate(LineAddr::new(5))]);
         b.map_invalidate_operands(|l| LineAddr::new(l.index() + 100));
         match b.instructions()[0].kind() {
             InstKind::Invalidate { line } => assert_eq!(line, LineAddr::new(105)),
             other => panic!("unexpected kind {other:?}"),
         }
         assert_eq!(b.original_instructions(), sample_block().instructions());
+    }
+
+    #[test]
+    fn a_view_into_shared_storage_equals_an_owned_copy() {
+        let arena: Arc<[Instruction]> = vec![
+            Instruction::other(2),
+            Instruction::other(4),
+            Instruction::other(3),
+            Instruction::ret(),
+            Instruction::other(7),
+        ]
+        .into();
+        let view = BasicBlock::new(BlockId::new(0), FuncId::new(0), 0, arena, 1, 3);
+        assert_eq!(view.instructions(), sample_block().instructions());
+        assert_eq!(view, sample_block());
+        assert_eq!(format!("{view:?}"), format!("{:?}", sample_block()));
+    }
+
+    #[test]
+    fn clearing_the_prefix_restores_the_original_block() {
+        let mut b = sample_block();
+        b.inject_prefix(&[Instruction::invalidate(LineAddr::new(5))]);
+        b.set_injected_prefix(&[
+            Instruction::invalidate(LineAddr::new(6)),
+            Instruction::invalidate(LineAddr::new(7)),
+        ]);
+        assert_eq!(b.injected_prefix_len(), 2);
+        assert_eq!(b.original_instructions(), sample_block().instructions());
+        b.set_injected_prefix(&[]);
+        assert_eq!(b, sample_block());
+    }
+
+    #[test]
+    fn remapping_shared_storage_leaves_the_other_holder_untouched() {
+        let mut a = sample_block();
+        a.inject_prefix(&[Instruction::invalidate(LineAddr::new(5))]);
+        let before = a.clone();
+        let mut b = a.clone();
+        b.map_invalidate_operands(|l| LineAddr::new(l.index() + 1));
+        assert_eq!(a, before);
+        assert_ne!(a, b);
+        assert_eq!(
+            b.instructions()[0].kind(),
+            InstKind::Invalidate {
+                line: LineAddr::new(6)
+            }
+        );
     }
 }

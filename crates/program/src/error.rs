@@ -34,6 +34,12 @@ pub enum ValidateProgramError {
     MidBlockTerminator(BlockId),
     /// The designated entry function does not exist.
     MissingEntry(FuncId),
+    /// The program has more instructions than its arena's `u32` offsets
+    /// can address.
+    ArenaOverflow {
+        /// Instructions in the builder's buffer.
+        instructions: u64,
+    },
 }
 
 impl fmt::Display for ValidateProgramError {
@@ -63,6 +69,13 @@ impl fmt::Display for ValidateProgramError {
             ValidateProgramError::MissingEntry(func) => {
                 write!(f, "entry function {func} does not exist")
             }
+            ValidateProgramError::ArenaOverflow { instructions } => {
+                write!(
+                    f,
+                    "program has {instructions} instructions; its arena's u32 offsets address at most {}",
+                    u32::MAX
+                )
+            }
         }
     }
 }
@@ -88,6 +101,9 @@ mod tests {
             ValidateProgramError::FallthroughOffFunctionEnd(BlockId::new(4)),
             ValidateProgramError::MidBlockTerminator(BlockId::new(5)),
             ValidateProgramError::MissingEntry(FuncId::new(6)),
+            ValidateProgramError::ArenaOverflow {
+                instructions: 1 << 32,
+            },
         ];
         for e in errs {
             let msg = e.to_string();

@@ -1,5 +1,7 @@
 //! The [`Program`] container and its builder.
 
+use std::sync::Arc;
+
 use crate::block::BasicBlock;
 use crate::error::ValidateProgramError;
 use crate::function::{CodeKind, Function};
@@ -45,6 +47,10 @@ pub enum Successors {
 /// A whole program: an arena of functions and basic blocks plus an entry
 /// point.
 ///
+/// The function table and the instructions are immutable and shared: a
+/// clone copies the block table (one allocation) and shares the rest, so
+/// a relinked copy costs memory only for the blocks the rewriter touched.
+///
 /// # Examples
 ///
 /// ```
@@ -61,7 +67,7 @@ pub enum Successors {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
-    functions: Vec<Function>,
+    functions: Arc<[Function]>,
     blocks: Vec<BasicBlock>,
     entry: FuncId,
 }
@@ -199,7 +205,7 @@ impl Program {
         if self.entry.index() >= self.functions.len() {
             return Err(ValidateProgramError::MissingEntry(self.entry));
         }
-        for func in &self.functions {
+        for func in self.functions.iter() {
             let Some(&last) = func.blocks().last() else {
                 return Err(ValidateProgramError::EmptyFunction(func.id()));
             };
@@ -274,10 +280,28 @@ impl Program {
 ///
 /// Functions and blocks are created first, instructions appended, and
 /// [`ProgramBuilder::finish`] validates the result.
+///
+/// Every block's instructions go to one flat buffer that becomes the
+/// program's shared instruction arena. Each block owns one contiguous run
+/// of it; pushing to a block whose run is not the buffer's last moves that
+/// run to the end first, so filling blocks one after another (as a
+/// compiler emits them) never moves anything.
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     functions: Vec<Function>,
-    blocks: Vec<BasicBlock>,
+    /// Each block's function, position in it and run in `code`.
+    blocks: Vec<BlockRun>,
+    code: Vec<Instruction>,
+}
+
+/// A block under construction: its place in its function and its
+/// `start..start + len` run in the builder's buffer.
+#[derive(Debug, Clone, Copy)]
+struct BlockRun {
+    func: FuncId,
+    pos_in_func: u32,
+    start: usize,
+    len: usize,
 }
 
 impl ProgramBuilder {
@@ -301,9 +325,14 @@ impl ProgramBuilder {
     pub fn add_block(&mut self, func: FuncId) -> BlockId {
         let id = BlockId::new(self.blocks.len() as u32);
         let f = &mut self.functions[func.index()];
-        let pos = f.blocks().len() as u32;
+        let pos_in_func = f.blocks().len() as u32;
         f.push_block(id);
-        self.blocks.push(BasicBlock::new(id, func, pos, Vec::new()));
+        self.blocks.push(BlockRun {
+            func,
+            pos_in_func,
+            start: self.code.len(),
+            len: 0,
+        });
         id
     }
 
@@ -313,7 +342,15 @@ impl ProgramBuilder {
     ///
     /// Panics if `block` was not created by this builder.
     pub fn push_inst(&mut self, block: BlockId, inst: Instruction) {
-        self.blocks[block.index()].push(inst);
+        let run = &mut self.blocks[block.index()];
+        let end = self.code.len();
+        if run.start + run.len != end {
+            // Not the latest run: move it to the end, leaving a dead copy.
+            self.code.extend_from_within(run.start..run.start + run.len);
+            run.start = end;
+        }
+        self.code.push(inst);
+        run.len += 1;
     }
 
     /// Number of blocks created so far.
@@ -327,15 +364,47 @@ impl ProgramBuilder {
     ///
     /// Returns a [`ValidateProgramError`] if the program is structurally
     /// invalid (empty function/block, dangling branch target, possible
-    /// fall-through off a function end, ...).
+    /// fall-through off a function end, ...), or
+    /// [`ValidateProgramError::ArenaOverflow`] if the instruction buffer
+    /// outgrew the arena's `u32` offsets.
     pub fn finish(self, entry: FuncId) -> Result<Program, ValidateProgramError> {
+        check_arena_capacity(self.code.len())?;
+        let code: Arc<[Instruction]> = self.code.into();
+        let blocks = self
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(i, run)| {
+                BasicBlock::new(
+                    BlockId::new(i as u32),
+                    run.func,
+                    run.pos_in_func,
+                    code.clone(),
+                    run.start as u32,
+                    run.len as u32,
+                )
+            })
+            .collect();
         let program = Program {
-            functions: self.functions,
-            blocks: self.blocks,
+            functions: self.functions.into(),
+            blocks,
             entry,
         };
         program.validate()?;
         Ok(program)
+    }
+}
+
+/// The arena-size guard [`ProgramBuilder::finish`] runs over its buffer
+/// length: block runs are addressed by `u32` offsets. Kept as a
+/// standalone function so the bound is unit-testable without building
+/// four billion instructions.
+fn check_arena_capacity(len: usize) -> Result<(), ValidateProgramError> {
+    match u32::try_from(len) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ValidateProgramError::ArenaOverflow {
+            instructions: len as u64,
+        }),
     }
 }
 
@@ -351,7 +420,7 @@ mod tests {
     #[test]
     fn program_without_code_bytes_has_no_lines() {
         let program = Program {
-            functions: Vec::new(),
+            functions: Arc::new([]),
             blocks: Vec::new(),
             entry: FuncId::new(0),
         };
@@ -488,5 +557,54 @@ mod tests {
         assert_eq!(p.static_instruction_count(), 6);
         assert_eq!(p.injected_instruction_count(), 0);
         assert_eq!(p.static_code_bytes(), 4 + 4 + 5 + 1 + 8 + 1);
+    }
+
+    #[test]
+    fn arena_capacity_guard_rejects_offsets_beyond_u32() {
+        assert_eq!(check_arena_capacity(0), Ok(()));
+        assert_eq!(check_arena_capacity(u32::MAX as usize), Ok(()));
+        assert_eq!(
+            check_arena_capacity(u32::MAX as usize + 1),
+            Err(ValidateProgramError::ArenaOverflow {
+                instructions: 1 << 32
+            })
+        );
+        assert_eq!(
+            check_arena_capacity((1 << 33) + 5),
+            Err(ValidateProgramError::ArenaOverflow {
+                instructions: (1 << 33) + 5
+            })
+        );
+    }
+
+    #[test]
+    fn interleaved_pushes_keep_every_block_contiguous() {
+        let mut b = ProgramBuilder::new();
+        let main = b.add_function("main", CodeKind::Static);
+        let m0 = b.add_block(main);
+        let m1 = b.add_block(main);
+        b.push_inst(m0, Instruction::other(1));
+        b.push_inst(m1, Instruction::other(2));
+        b.push_inst(m0, Instruction::other(3));
+        b.push_inst(m1, Instruction::ret());
+        let p = b.finish(main).unwrap();
+        assert_eq!(
+            p.block(m0).instructions(),
+            &[Instruction::other(1), Instruction::other(3)]
+        );
+        assert_eq!(
+            p.block(m1).instructions(),
+            &[Instruction::other(2), Instruction::ret()]
+        );
+    }
+
+    #[test]
+    fn clones_share_the_arena_and_compare_by_content() {
+        let p = two_function_program();
+        let q = p.clone();
+        assert_eq!(p, q);
+        assert!(Arc::ptr_eq(&p.functions, &q.functions));
+        // An independently built copy has its own arena and still equals.
+        assert_eq!(p, two_function_program());
     }
 }

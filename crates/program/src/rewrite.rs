@@ -267,23 +267,27 @@ pub struct Rewritten {
 /// # Ok::<(), ripple_program::ValidateProgramError>(())
 /// ```
 pub fn rewrite(program: &Program, old_layout: &Layout, plan: &InjectionPlan) -> Rewritten {
+    // The clone shares the instruction arena: only the cue blocks below
+    // get storage of their own.
     let mut new_program = program.clone();
 
     // Insert placeholder invalidates carrying the *old-layout* line; the
     // operands are remapped once the new layout is known.
-    for (cue, victims) in &victims_per_block(plan) {
+    let per_block = victims_per_block(plan);
+    for (cue, victims) in &per_block {
         let instrs: Vec<Instruction> = victims
             .iter()
             .map(|&loc| Instruction::invalidate(old_layout.line_of(loc)))
             .collect();
-        new_program.blocks_mut()[cue.index()].inject_prefix(instrs);
+        new_program.blocks_mut()[cue.index()].inject_prefix(&instrs);
     }
 
     let new_layout = Layout::new(&new_program, old_layout.config());
     let mapper = LineMapper::new(program, old_layout, &new_layout);
 
-    for block in new_program.blocks_mut() {
-        block.map_invalidate_operands(|old_line| mapper.map(old_line));
+    for cue in per_block.keys() {
+        new_program.blocks_mut()[cue.index()]
+            .map_invalidate_operands(|old_line| mapper.map(old_line));
     }
 
     Rewritten {
@@ -370,7 +374,7 @@ pub fn rewrite_incremental(
                     .collect()
             })
             .unwrap_or_default();
-        new_program.blocks_mut()[cue.index()].set_injected_prefix(instrs);
+        new_program.blocks_mut()[cue.index()].set_injected_prefix(&instrs);
     }
 
     // 2. Splice the layout: re-lay-out dirty functions, copy (and shift)

@@ -48,7 +48,11 @@ const EMPTY_TAG: u32 = u32::MAX;
 /// tag match is a contiguous word scan the compiler can vectorize, and the
 /// rarely-read prefetch bits live in a separate parallel array instead of
 /// padding every tag to eight bytes.
-#[derive(Debug)]
+///
+/// A clone holds the same lines and policy state (an LRU clone keeps its
+/// clock and stamps), so it answers every later access as the original
+/// would.
+#[derive(Debug, Clone)]
 pub struct Cache<P: ?Sized + ReplacementPolicy> {
     geom: CacheGeometry,
     /// `geom.num_sets()`, cached to keep the two divisions out of the
@@ -69,6 +73,18 @@ pub struct Cache<P: ?Sized + ReplacementPolicy> {
     policy: Box<P>,
     /// Scratch buffer for victim calls, reused across misses.
     views: Vec<WayView>,
+}
+
+/// Equal state: same geometry, lines, prefetch bits and policy state.
+#[cfg(test)]
+impl<P: ReplacementPolicy + PartialEq> PartialEq for Cache<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.geom == other.geom
+            && self.line_base == other.line_base
+            && self.tags == other.tags
+            && self.prefetched == other.prefetched
+            && self.policy == other.policy
+    }
 }
 
 impl<P: ?Sized + ReplacementPolicy> Cache<P> {

@@ -35,11 +35,12 @@ use ripple_obs::{time_phase, FieldValue, NullRecorder, PhaseTimer, Recorder};
 use ripple_program::{Layout, Program};
 use ripple_trace::{BbTrace, TraceHealth};
 
+use crate::cache::Cache;
 use crate::capture::{capture, ColumnarStream, StreamLimitError};
 use crate::config::{PolicyKind, SimConfig};
 use crate::generator::{warmup_until, RequestGenerator};
 use crate::intern::{BlockTable, FetchPlan, LineTable};
-use crate::policy::{build_ideal_policy, build_policy, FutureIndex, ReplacementPolicy};
+use crate::policy::{build_ideal_policy, build_policy, FutureIndex, LruPolicy, ReplacementPolicy};
 use crate::sink::{EvictionSink, NullSink};
 use crate::stats::SimStats;
 use crate::walk::{prewarm_l3, CacheWalk};
@@ -101,6 +102,9 @@ pub struct SimSession<'a> {
     blocks: BlockTable,
     recorded: OnceLock<Result<Recording, StreamLimitError>>,
     recording_passes: AtomicU32,
+    /// The pre-warmed L3 every run starts from, built on the first run and
+    /// cloned for each run after.
+    l3: OnceLock<Cache<LruPolicy>>,
     /// Observability sink; [`NullRecorder`] (the default) keeps every
     /// instrumented seam on its free path.
     recorder: Arc<dyn Recorder>,
@@ -140,6 +144,7 @@ impl<'a> SimSession<'a> {
             blocks,
             recorded: OnceLock::new(),
             recording_passes: AtomicU32::new(0),
+            l3: OnceLock::new(),
             recorder: Arc::new(NullRecorder),
             trace_health: None,
         }
@@ -357,13 +362,22 @@ impl<'a> SimSession<'a> {
             .map_err(|&e| e)
     }
 
+    /// A copy of the session's pre-warmed L3, which is built on first use.
+    /// Every run starts from the same L3 state, LRU clock and stamps
+    /// included, and no run pays the pre-warm walk again.
+    fn prewarmed_l3(&self) -> Cache<LruPolicy> {
+        self.l3
+            .get_or_init(|| prewarm_l3(self.program, &self.table, &self.plan, &self.config))
+            .clone()
+    }
+
     /// One run: capture replay when `recording` is present, the streaming
     /// pass (the request generator feeding the cache walk directly)
     /// otherwise. Both drive the same [`CacheWalk`] over a fresh L2 and a
-    /// fresh pre-warmed L3, each built with only the ways the session's
-    /// lines can fill (exact, because they are LRU and the line ids are
-    /// contiguous; the L1I keeps its full geometry). A run's setup thus
-    /// scales with the program, not with Table II's 10 MB L3.
+    /// copy of the session's pre-warmed L3, each built with only the ways
+    /// the session's lines can fill (exact, because they are LRU and the
+    /// line ids are contiguous; the L1I keeps its full geometry). A run's
+    /// setup thus scales with the program, not with Table II's 10 MB L3.
     fn run_walk(
         &self,
         cfg: &SimConfig,
@@ -376,7 +390,7 @@ impl<'a> SimSession<'a> {
             cfg,
             &self.table,
             &self.blocks,
-            prewarm_l3(self.program, &self.table, &self.plan, &self.config),
+            self.prewarmed_l3(),
             policy_for(cfg, recording.map(|rec| &rec.future)),
             warmup,
             sink,
@@ -512,6 +526,26 @@ mod tests {
         assert!(stats.demand_misses <= stats.demand_accesses);
         assert!(stats.cycles > 0.0);
         assert!(stats.ipc() > 0.0);
+    }
+
+    #[test]
+    fn every_run_of_a_session_starts_from_the_same_l3() {
+        let (p, l, t) = small_setup();
+        let session = SimSession::new(&p, &l, &t, small_cfg());
+        let fresh = prewarm_l3(&p, &session.table, &session.plan, session.config());
+        let first = session.prewarmed_l3();
+        let stats = session.run(PolicyKind::LRU);
+        let second = session.prewarmed_l3();
+        assert!(
+            first == fresh,
+            "first run's L3 differs from a fresh pre-warm"
+        );
+        assert!(second == fresh, "a run leaked state into the session's L3");
+        assert_eq!(session.run(PolicyKind::LRU), stats);
+        assert_eq!(
+            SimSession::new(&p, &l, &t, small_cfg()).run(PolicyKind::LRU),
+            stats
+        );
     }
 
     #[test]

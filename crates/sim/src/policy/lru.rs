@@ -10,7 +10,7 @@ use crate::policy::{AccessInfo, ReplacementPolicy, WayView};
 /// Reported metadata matches the paper's Table I (64 B for a 32 KB / 8-way
 /// cache, i.e. one recency bit per line as implemented by tree pseudo-LRU
 /// in real hardware).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruPolicy {
     assoc: usize,
     stamps: Vec<u64>, // sets × assoc

@@ -25,8 +25,9 @@
 //! 7. [`rewrite_eq`] — incremental relinking vs full rewrite on random
 //!    injection-plan chains, dense vs reference cue analysis on real
 //!    oracle window sets, the dense line tables (access index, origins,
-//!    line mapper) vs the map-based references in [`map_ref`], and
-//!    1-vs-4-thread `RippleOutcome` invariance;
+//!    line mapper) vs the map-based references in [`map_ref`], Fig. 10's
+//!    accuracy rule vs the map-based gap rule, and 1-vs-4-thread
+//!    `RippleOutcome` invariance;
 //! 8. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
 //!    weighted profile merging must equal physically repeating each shard
 //!    `weight` times in one long trace, independent of shard order, all

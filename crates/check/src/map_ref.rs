@@ -7,7 +7,8 @@
 //! references here are those tables in their original form — one
 //! `HashMap<LineAddr, _>` entry per line visit or per static line, built
 //! by walking the layout directly — plus the original two-pass, map-based
-//! cue analysis ([`analyze_windows_reference`]). They share no table code
+//! cue analysis ([`analyze_windows_reference`]) and Fig. 10's accuracy
+//! rule stated on reuse gaps ([`GapRule`]). They share no table code
 //! with production, so the `fleet` and `rewrite` dimensions can hold the
 //! dense tables against them.
 //!
@@ -17,6 +18,7 @@ use std::collections::{HashMap, HashSet};
 
 use ripple::{AnalysisConfig, CueCandidate, EvictionWindow, WindowChoice};
 use ripple_program::{BlockId, CodeLoc, Layout, LineAddr, Program};
+use ripple_sim::EvictionEvent;
 use ripple_trace::BbTrace;
 
 /// Per-line demand access counts, one map update per line visit.
@@ -70,6 +72,49 @@ impl MapAccessIndex {
     /// Whether no line is indexed.
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
+    }
+}
+
+/// Fig. 10's accuracy rule stated on reuse gaps, from an ideal run's raw
+/// eviction events: evicting `line` at `pos` is accurate iff `line` has
+/// no access after `pos`, or that next access is its first, or the ideal
+/// run evicted it between its last access before that next access and
+/// the next access itself.
+///
+/// Without a prefetcher this is exactly "the ideal run missed the next
+/// access", the rule [`IdealOutcomes`](ripple::IdealOutcomes) reads from
+/// its miss bits. A prefetch can refill an evicted line before its next
+/// access, so with one the gap rule is the weaker of the two.
+pub struct GapRule {
+    evictions: HashMap<LineAddr, Vec<EvictionEvent>>,
+}
+
+impl GapRule {
+    /// Groups the ideal run's eviction events by victim.
+    pub fn build(events: &[EvictionEvent]) -> Self {
+        let mut evictions: HashMap<LineAddr, Vec<EvictionEvent>> = HashMap::new();
+        for &e in events {
+            evictions.entry(e.victim).or_default().push(e);
+        }
+        GapRule { evictions }
+    }
+
+    /// Whether evicting `line` at `pos` is accurate, with `accesses` the
+    /// ideal run's layout and trace.
+    pub fn is_accurate(&self, accesses: &MapAccessIndex, line: LineAddr, pos: u64) -> bool {
+        let positions = accesses.positions(line);
+        let Some(k) = positions.iter().position(|&p| p > pos) else {
+            return true;
+        };
+        if k == 0 {
+            return true;
+        }
+        let (last, next) = (positions[k - 1], positions[k]);
+        self.evictions.get(&line).is_some_and(|events| {
+            events
+                .iter()
+                .any(|e| e.last_access_pos == last && (last..=next).contains(&e.evict_pos))
+        })
     }
 }
 

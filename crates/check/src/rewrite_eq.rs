@@ -12,7 +12,11 @@
 //! [`LineAccessIndex`], the line origins and the [`LineMapper`] of every
 //! full and incremental relink — must answer every query exactly as the
 //! map-based references in [`map_ref`](crate::map_ref) do, including
-//! lines outside the layout and positions past the trace end. A subset
+//! lines outside the layout and positions past the trace end. The ideal
+//! run's [`IdealOutcomes`] must score every decision of an LRU run, and a
+//! decision at and just before every access, as the map-based
+//! [`GapRule`] does: exactly without a prefetcher, and never accurate
+//! where the gap rule is not with one. A subset
 //! of cases additionally runs the full
 //! pipeline at 1 and 4 harness threads and demands an identical
 //! [`RippleOutcome`], then evaluates three thresholds (the strictest
@@ -22,19 +26,20 @@
 //! [`RippleOutcome`]: ripple::RippleOutcome
 
 use rand::{Rng, SeedableRng, StdRng};
-use ripple::{analyze_windows, AnalysisConfig, LineAccessIndex, WindowSink};
+use ripple::{analyze_windows, AnalysisConfig, IdealOutcomes, LineAccessIndex, WindowSink};
 use ripple::{Ripple, RippleConfig};
 use ripple_program::{
     line_origins, rewrite, rewrite_incremental, BlockId, CodeLoc, Injection, InjectionPlan, Layout,
     LayoutConfig, LineAddr, LineMapper, Program,
 };
 use ripple_sim::{
-    CacheGeometry, EvictionMechanism, PolicyKind, PrefetcherKind, SimConfig, SimSession,
+    ideal_policy_for, CacheGeometry, EvictionEvent, EvictionMechanism, EvictionSink, PolicyKind,
+    PrefetcherKind, SimConfig, SimSession, VecSink,
 };
 use ripple_trace::BbTrace;
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
-use crate::map_ref::{analyze_windows_reference, map_mapper, map_origins, MapAccessIndex};
+use crate::map_ref::{analyze_windows_reference, map_mapper, map_origins, GapRule, MapAccessIndex};
 use crate::shrink::{min_failing_prefix, shrink_list};
 
 /// One generated relinking case: a program, its profiled layout, a trace,
@@ -239,9 +244,70 @@ fn layout_tables_violation(program: &Program, layout: &Layout, trace: &BbTrace) 
     None
 }
 
+/// An ideal run's raw eviction events and demand misses.
+#[derive(Default)]
+struct IdealRun {
+    events: Vec<EvictionEvent>,
+    misses: Vec<(LineAddr, u64)>,
+}
+
+impl EvictionSink for IdealRun {
+    fn record(&mut self, event: EvictionEvent) {
+        self.events.push(event);
+    }
+
+    fn demand_miss(&mut self, line: LineAddr, pos: u64) {
+        self.misses.push((line, pos));
+    }
+}
+
+/// [`IdealOutcomes`] against the map-based [`GapRule`] on one binary, run
+/// as the final-layout round runs its oracle (injections inert), with and
+/// without a prefetcher. The decisions scored are every eviction of an
+/// LRU run plus one at and one just before every recorded access.
+fn accuracy_violation(program: &Program, layout: &Layout, trace: &BbTrace) -> Option<String> {
+    let accesses = MapAccessIndex::build(layout, trace);
+    let mut probes: Vec<(LineAddr, u64)> = Vec::new();
+    for line in probe_lines(layout) {
+        let recorded = accesses.positions(line).iter().copied();
+        let at = recorded.flat_map(|p| [p.saturating_sub(1), p]);
+        probes.extend(at.chain([0, trace.len() as u64]).map(|p| (line, p)));
+    }
+    for prefetcher in [PrefetcherKind::None, PrefetcherKind::NextLine] {
+        let mut cfg = SimConfig::default();
+        cfg.l1i = CacheGeometry::new(1024, 2);
+        cfg.prefetcher = prefetcher;
+        cfg.eviction_mechanism = EvictionMechanism::NoOp;
+        let session = SimSession::new(program, layout, trace, cfg);
+        let mut ideal = IdealRun::default();
+        session.run_with_sink(ideal_policy_for(prefetcher), &mut ideal);
+        let outcomes = IdealOutcomes::build(layout, trace, &ideal.misses);
+        let gaps = GapRule::build(&ideal.events);
+        let mut lru = VecSink::new();
+        session.run_with_sink(PolicyKind::LRU, &mut lru);
+        let decisions = lru.events().iter().map(|e| (e.victim, e.evict_pos));
+        for (line, pos) in decisions.chain(probes.iter().copied()) {
+            let outcome = outcomes.is_accurate(line, pos);
+            let gap = gaps.is_accurate(&accesses, line, pos);
+            let broken = match prefetcher {
+                PrefetcherKind::None => outcome != gap,
+                _ => outcome && !gap,
+            };
+            if broken {
+                return Some(format!(
+                    "evicting {line} at {pos} under {prefetcher:?}: outcome rule says \
+                     {outcome}, gap rule {gap}"
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// Dense-vs-reference cue analysis over a *real* oracle window set from
 /// the rewritten binary (the exact windows the fixpoint loop analyzes),
-/// after the dense line tables of the profiled and the rewritten layout.
+/// after the dense line tables of the profiled and the rewritten layout
+/// and the accuracy rule on the rewritten binary.
 fn analysis_violation(case: &RewriteCase) -> Option<String> {
     let last = to_plan(case.plans.last().expect("chain is non-empty"));
     let rewritten = rewrite(&case.program, &case.layout, &last);
@@ -252,6 +318,9 @@ fn analysis_violation(case: &RewriteCase) -> Option<String> {
         if let Some(message) = layout_tables_violation(program, layout, &case.trace) {
             return Some(format!("{name} layout: {message}"));
         }
+    }
+    if let Some(message) = accuracy_violation(&rewritten.program, &rewritten.layout, &case.trace) {
+        return Some(format!("accuracy rule: {message}"));
     }
     let mut cfg = SimConfig::default();
     cfg.l1i = CacheGeometry::new(1024, 2);

@@ -37,16 +37,19 @@ pub struct EvictionWindow {
     pub end: u64,
 }
 
-/// Streams the simulator's eviction log directly into eviction windows.
+/// Streams the simulator's eviction log directly into eviction windows,
+/// and keeps the run's demand misses.
 ///
 /// Plugged into a simulation as its [`EvictionSink`], this keeps only the
 /// *usable* windows (the victim had a demand access before eviction and the
 /// window is non-degenerate) and drops everything else as it arrives — the
-/// raw event log is never materialized. Feed the result to
-/// [`analyze_windows`].
+/// raw event log is never materialized. Feed the windows to
+/// [`analyze_windows`], and the misses of an ideal run to
+/// [`IdealOutcomes::build`](crate::IdealOutcomes::build).
 #[derive(Debug, Default)]
 pub struct WindowSink {
     windows: Vec<EvictionWindow>,
+    misses: Vec<(LineAddr, u64)>,
 }
 
 impl WindowSink {
@@ -64,6 +67,13 @@ impl WindowSink {
     pub fn into_windows(self) -> Vec<EvictionWindow> {
         self.windows
     }
+
+    /// Consumes the sink, returning the collected windows and every L1I
+    /// demand miss, `(line, trace position)` in trace order, warmup
+    /// included.
+    pub fn into_parts(self) -> (Vec<EvictionWindow>, Vec<(LineAddr, u64)>) {
+        (self.windows, self.misses)
+    }
 }
 
 impl EvictionSink for WindowSink {
@@ -75,6 +85,10 @@ impl EvictionSink for WindowSink {
                 end: e.evict_pos,
             });
         }
+    }
+
+    fn demand_miss(&mut self, line: LineAddr, pos: u64) {
+        self.misses.push((line, pos));
     }
 }
 
@@ -230,7 +244,7 @@ impl Analysis {
     /// probability reaches the threshold injects one `invalidate` into
     /// that cue block.
     pub fn plan_for_threshold(&self, threshold: f64) -> (InjectionPlan, CoverageStats) {
-        self.plan_with(threshold, self.min_pair_windows)
+        self.plan_impl(threshold, None)
     }
 
     /// [`Analysis::plan_for_threshold`] constrained to an available slot
@@ -243,24 +257,12 @@ impl Analysis {
         threshold: f64,
         slots: &HashMap<BlockId, usize>,
     ) -> (InjectionPlan, CoverageStats) {
-        self.plan_impl(threshold, self.min_pair_windows, Some(slots))
-    }
-
-    /// [`Analysis::plan_for_threshold`] with an explicit minimum number of
-    /// windows per injected pair (used when reserving slots generously
-    /// for the final-layout pass).
-    pub fn plan_with(
-        &self,
-        threshold: f64,
-        min_pair_windows: u32,
-    ) -> (InjectionPlan, CoverageStats) {
-        self.plan_impl(threshold, min_pair_windows, None)
+        self.plan_impl(threshold, Some(slots))
     }
 
     fn plan_impl(
         &self,
         threshold: f64,
-        min_pair_windows: u32,
         slots: Option<&HashMap<BlockId, usize>>,
     ) -> (InjectionPlan, CoverageStats) {
         let mut plan = InjectionPlan::new();
@@ -358,7 +360,7 @@ impl Analysis {
         let min_pair_windows = if slots.is_some() {
             1
         } else {
-            min_pair_windows.max(1)
+            self.min_pair_windows
         };
         for &key @ (cue, _) in &pair_order {
             // Inserted in lockstep with `pair_order`, so the key resolves.

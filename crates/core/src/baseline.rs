@@ -4,34 +4,35 @@
 //! [`Ripple::evaluate_on`](crate::Ripple::evaluate_on) needs depends on
 //! (program, layout, eval trace, sim config) alone, not on the threshold:
 //! the LRU reference, the ideal-replacement and ideal-cache bounds, the
-//! baseline under the underlying policy, and the ideal windows that score
-//! an evaluation without a final-layout analysis. An [`EvalBaseline`]
-//! measures them once, so a threshold sweep pays for them once.
+//! baseline under the underlying policy, and the ideal run's outcomes that
+//! score the underlying policy's evictions (and Ripple's invalidations
+//! when no final-layout analysis ran). An [`EvalBaseline`] measures them
+//! once, so a threshold sweep pays for them once.
 
 use std::sync::{Arc, OnceLock};
 
 use ripple_obs::{time_phase, Recorder};
-use ripple_program::{Layout, Program};
+use ripple_program::{Layout, LineAddr, Program};
 use ripple_sim::{
     ideal_policy_for, EvictionEvent, PolicyKind, PolicyRegistry, SimConfig, SimSession, SimStats,
     VecSink,
 };
 use ripple_trace::BbTrace;
 
-use crate::analysis::{EvictionWindow, WindowSink};
+use crate::analysis::WindowSink;
 use crate::error::Error;
 use crate::harness::{effective_threads, run_jobs, Job};
-use crate::metrics::{eviction_accuracy, AccuracyStats, LineAccessIndex, WindowIndex};
+use crate::metrics::{eviction_accuracy, AccuracyStats, IdealOutcomes};
 
 /// One policy's run on the original binary.
 #[derive(Debug)]
 pub(crate) struct BaselineRun {
     pub(crate) stats: SimStats,
-    /// Every L1I eviction, in trace order, for scoring against each
-    /// threshold's ideal windows.
+    /// Every L1I eviction, in trace order, for scoring against the ideal
+    /// run's outcomes.
     pub(crate) log: Vec<EvictionEvent>,
-    /// The log scored against the original layout's ideal windows,
-    /// computed on first use.
+    /// The log scored against the ideal run's outcomes, computed on first
+    /// use.
     original_accuracy: OnceLock<AccuracyStats>,
 }
 
@@ -47,14 +48,6 @@ impl BaselineRun {
     }
 }
 
-/// The ideal windows and line accesses of the original layout: what an
-/// evaluation without a final-layout analysis scores against.
-#[derive(Debug)]
-pub(crate) struct OriginalScoring {
-    pub(crate) windows: WindowIndex,
-    pub(crate) accesses: LineAccessIndex,
-}
-
 /// Everything an evaluation measures on the original binary, built once
 /// per (program, layout, eval trace, [`SimConfig`]) and shared by every
 /// threshold evaluated against it with
@@ -62,12 +55,11 @@ pub(crate) struct OriginalScoring {
 ///
 /// Construction captures the original binary's [`SimSession`] once and
 /// runs LRU, the ideal oracle and the ideal cache as one harness job
-/// matrix, then frees the capture. Two things are computed only when first
-/// needed: the baseline under a non-LRU underlying policy (one more run,
-/// streamed) and
-/// the original layout's ideal-window scoring (needed only for empty
-/// plans or with the final-layout analysis disabled). Both are cached
-/// behind `OnceLock`s, so a baseline can be shared across parallel
+/// matrix, then frees the capture and builds the oracle run's
+/// [`IdealOutcomes`] (timed as `eval.accuracy`), which score every
+/// evaluation's underlying accuracy. The baseline under a non-LRU underlying policy
+/// (one more run, streamed) is computed only when first needed and cached
+/// behind a `OnceLock`, so a baseline can be shared across parallel
 /// threshold jobs.
 ///
 /// # Examples
@@ -101,12 +93,12 @@ pub struct EvalBaseline<'a> {
     lru: BaselineRun,
     ideal: SimStats,
     ideal_cache: SimStats,
-    /// The oracle run's eviction windows, indexed on first use.
-    oracle_windows: Vec<EvictionWindow>,
+    /// The oracle run's outcome at every demand access, in the original
+    /// layout.
+    outcomes: IdealOutcomes,
     /// Runs under other underlying policies, by registry index, each
     /// replayed on first use.
     underlying: Vec<OnceLock<Result<BaselineRun, Error>>>,
-    original: OnceLock<OriginalScoring>,
 }
 
 impl<'a> EvalBaseline<'a> {
@@ -133,16 +125,16 @@ impl<'a> EvalBaseline<'a> {
 
         enum RunOut {
             Logged(BaselineRun),
-            Windowed(SimStats, Vec<EvictionWindow>),
+            Ideal(SimStats, Vec<(LineAddr, u64)>),
             Stats(SimStats),
         }
         let session_ref = &session;
         let jobs: Vec<Job<'_, RunOut>> = vec![
             Box::new(move || RunOut::Logged(BaselineRun::logged(session_ref, PolicyKind::LRU))),
             Box::new(move || {
-                let mut windows = WindowSink::new();
-                let stats = session_ref.run_with_sink(oracle, &mut windows);
-                RunOut::Windowed(stats, windows.into_windows())
+                let mut sink = WindowSink::new();
+                let stats = session_ref.run_with_sink(oracle, &mut sink);
+                RunOut::Ideal(stats, sink.into_parts().1)
             }),
             Box::new(move || RunOut::Stats(session_ref.run_ideal_cache())),
         ];
@@ -158,9 +150,9 @@ impl<'a> EvalBaseline<'a> {
         // use streams instead. Freeing it keeps the baseline's footprint
         // out of the peak of each evaluation's own relinks and runs.
         session.release_capture();
-        let (lru, ideal, oracle_windows, ideal_cache) = match <[RunOut; 3]>::try_from(outs) {
-            Ok([RunOut::Logged(lru), RunOut::Windowed(ideal, windows), RunOut::Stats(cache)]) => {
-                (lru, ideal, windows, cache)
+        let (lru, ideal, misses, ideal_cache) = match <[RunOut; 3]>::try_from(outs) {
+            Ok([RunOut::Logged(lru), RunOut::Ideal(ideal, misses), RunOut::Stats(cache)]) => {
+                (lru, ideal, misses, cache)
             }
             _ => {
                 return Err(Error::Internal(
@@ -168,17 +160,21 @@ impl<'a> EvalBaseline<'a> {
                 ))
             }
         };
+        // Built once the capture is freed, so the two never share the
+        // peak.
+        let outcomes = time_phase(&*recorder, "eval.accuracy", || {
+            IdealOutcomes::build(layout, eval_trace, &misses)
+        });
         Ok(EvalBaseline {
             pristine: program.injected_instruction_count() == 0,
             session,
             lru,
             ideal,
             ideal_cache,
-            oracle_windows,
+            outcomes,
             underlying: (0..PolicyRegistry::global().len())
                 .map(|_| OnceLock::new())
                 .collect(),
-            original: OnceLock::new(),
         })
     }
 
@@ -256,21 +252,15 @@ impl<'a> EvalBaseline<'a> {
         .map_err(Clone::clone)
     }
 
-    /// The original layout's ideal windows and line accesses, built on
-    /// first use (inside the calling evaluation's `eval.accuracy`).
-    pub(crate) fn original_scoring(&self) -> &OriginalScoring {
-        self.original.get_or_init(|| OriginalScoring {
-            windows: WindowIndex::build(&self.oracle_windows),
-            accesses: LineAccessIndex::build(self.session.layout(), self.session.trace()),
-        })
+    /// The ideal run's outcomes in the original layout.
+    pub(crate) fn outcomes(&self) -> &IdealOutcomes {
+        &self.outcomes
     }
 
-    /// `run`'s evictions scored against the original layout's ideal
-    /// windows, computed once per run.
+    /// `run`'s evictions scored against the ideal run's outcomes, computed
+    /// once per run.
     pub(crate) fn original_accuracy(&self, run: &BaselineRun) -> AccuracyStats {
-        *run.original_accuracy.get_or_init(|| {
-            let scoring = self.original_scoring();
-            eviction_accuracy(&run.log, &scoring.windows, &scoring.accesses)
-        })
+        *run.original_accuracy
+            .get_or_init(|| eviction_accuracy(&run.log, &self.outcomes))
     }
 }

@@ -71,9 +71,9 @@ pub use baseline::EvalBaseline;
 pub use error::{ConfigError, Error, JobError};
 pub use harness::{effective_threads, policy_matrix, policy_matrix_all, run_jobs, Job};
 pub use metrics::{
-    block_visit_counts, decision_is_accurate, eviction_accuracy, line_access_counts,
-    line_counts_of_blocks, plan_accuracy, profile_temperatures, temperatures_from_counts,
-    AccuracySink, AccuracyStats, LineAccessIndex, WindowIndex,
+    block_visit_counts, eviction_accuracy, line_access_counts, line_counts_of_blocks,
+    plan_accuracy, profile_temperatures, temperatures_from_counts, AccuracyStats, IdealOutcomes,
+    LineAccessIndex,
 };
 pub use pipeline::{Ripple, RippleConfig, RippleConfigBuilder, RippleOutcome};
 pub use profile::{collect_profile, Profile};

@@ -3,10 +3,8 @@
 use std::collections::HashMap;
 
 use ripple_program::{BlockId, Layout, LineAddr, LineRange};
-use ripple_sim::{EvictionEvent, EvictionSink, Temperature, TemperatureMap};
+use ripple_sim::{EvictionEvent, Temperature, TemperatureMap};
 use ripple_trace::BbTrace;
-
-use crate::analysis::EvictionWindow;
 
 /// Per-line index of demand access positions, for "is this line ever used
 /// again after position p?" queries.
@@ -50,18 +48,19 @@ impl LineAccessIndex {
         }
     }
 
-    /// The ascending access positions of `line` (empty outside the layout).
-    fn row(&self, line: LineAddr) -> &[u64] {
-        match self.lines.slot(line) {
-            Some(i) => &self.positions[self.offsets[i]..self.offsets[i + 1]],
-            None => &[],
-        }
+    /// The index into `positions` of `line`'s first access for which
+    /// `before` is false (`None` outside the layout or past its last).
+    fn first_entry(&self, line: LineAddr, before: impl Fn(u64) -> bool) -> Option<usize> {
+        let i = self.lines.slot(line)?;
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        let k = start + self.positions[start..end].partition_point(|&p| before(p));
+        (k < end).then_some(k)
     }
 
     /// First demand access to `line` strictly after `pos`, if any.
     pub fn next_access_after(&self, line: LineAddr, pos: u64) -> Option<u64> {
-        let row = self.row(line);
-        row.get(row.partition_point(|&p| p <= pos)).copied()
+        self.first_entry(line, |p| p <= pos)
+            .map(|k| self.positions[k])
     }
 
     /// Number of distinct lines indexed.
@@ -186,52 +185,51 @@ pub fn profile_temperatures(layout: &Layout, trace: &BbTrace) -> TemperatureMap 
     temperatures_from_counts(line_access_counts(layout, trace))
 }
 
-/// Per-line index of ideal eviction windows, for "would the ideal policy
-/// also have evicted this line here?" queries.
+/// The ideal run's outcome at every demand access: the
+/// [`LineAccessIndex`] of its layout and trace plus one bit per entry,
+/// set where the ideal run missed.
 ///
-/// Windows of one line never overlap (each starts after the refill that
-/// follows the previous eviction), so sorted binary search suffices.
+/// It states Fig. 10's accuracy rule. A decision to evict line `L` at
+/// trace position `p` (a Ripple invalidation or a hardware eviction) is
+/// *accurate* iff `L` is never demand-accessed after `p`, or the ideal run
+/// missed `L`'s next access: the decision then cannot introduce a miss the
+/// ideal policy did not also take. Under a prefetcher an access the ideal
+/// run covered with a prefetch is a hit, so a decision before it is
+/// inaccurate.
 #[derive(Debug, Default)]
-pub struct WindowIndex {
-    windows: HashMap<LineAddr, Vec<(u64, u64)>>,
+pub struct IdealOutcomes {
+    accesses: LineAccessIndex,
+    /// Bit `k` (word `k / 64`) is set when the ideal run missed the access
+    /// at `accesses.positions[k]`.
+    missed: Vec<u64>,
 }
 
-impl WindowIndex {
-    /// Builds the index from the analysis's eviction windows.
-    pub fn build(windows: &[EvictionWindow]) -> Self {
-        let mut map: HashMap<LineAddr, Vec<(u64, u64)>> = HashMap::new();
-        for w in windows {
-            map.entry(w.victim).or_default().push((w.start, w.end));
+impl IdealOutcomes {
+    /// Builds the outcomes of the ideal run over `trace` under `layout`
+    /// from that run's demand misses, `(line, position)` as
+    /// [`WindowSink::into_parts`](crate::WindowSink::into_parts) returns
+    /// them.
+    pub fn build(layout: &Layout, trace: &BbTrace, misses: &[(LineAddr, u64)]) -> Self {
+        let accesses = LineAccessIndex::build(layout, trace);
+        let mut missed = vec![0u64; accesses.positions.len().div_ceil(64)];
+        for &(line, pos) in misses {
+            let entry = accesses
+                .first_entry(line, |p| p < pos)
+                .filter(|&k| accesses.positions[k] == pos);
+            debug_assert!(entry.is_some(), "no access of {line} at {pos} to miss");
+            if let Some(k) = entry {
+                missed[k / 64] |= 1 << (k % 64);
+            }
         }
-        for v in map.values_mut() {
-            v.sort_unstable();
-        }
-        WindowIndex { windows: map }
+        IdealOutcomes { accesses, missed }
     }
 
-    /// Whether position `pos` lies inside an eviction window of `line`
-    /// (start-exclusive, end-inclusive): an action at `pos` that evicts
-    /// `line` agrees with the ideal policy.
-    pub fn contains(&self, line: LineAddr, pos: u64) -> bool {
-        let Some(v) = self.windows.get(&line) else {
-            return false;
-        };
-        let i = v.partition_point(|&(_, end)| end < pos);
-        v.get(i).is_some_and(|&(start, _)| start < pos)
+    /// Whether evicting `line` at `pos` is accurate (see the type docs).
+    pub fn is_accurate(&self, line: LineAddr, pos: u64) -> bool {
+        self.accesses
+            .first_entry(line, |p| p <= pos)
+            .is_none_or(|k| self.missed[k / 64] >> (k % 64) & 1 == 1)
     }
-}
-
-/// An eviction-style decision (Ripple invalidation or hardware eviction)
-/// is *accurate* when it cannot introduce a miss the ideal policy would
-/// not also have taken: either the position falls inside an ideal eviction
-/// window of the line, or the line is never demand-accessed again.
-pub fn decision_is_accurate(
-    line: LineAddr,
-    pos: u64,
-    windows: &WindowIndex,
-    accesses: &LineAccessIndex,
-) -> bool {
-    windows.contains(line, pos) || accesses.next_access_after(line, pos).is_none()
 }
 
 /// Accuracy tally.
@@ -255,18 +253,14 @@ impl AccuracyStats {
 }
 
 /// Scores a not-yet-applied [`InjectionPlan`](ripple_program::InjectionPlan)
-/// by replaying `trace` and
-/// testing every dynamic execution of a cue block against the ideal
-/// windows, with victims expressed in the *profiled* layout (`layout`).
-///
-/// This is the evaluation the pipeline uses: windows, accesses and plan
-/// victims all live in the same (pre-injection) address space.
+/// by replaying `trace` and testing every dynamic execution of a cue block
+/// against the ideal run's `outcomes`, with victims expressed in `layout`,
+/// the layout the outcomes were recorded under.
 pub fn plan_accuracy(
     plan: &ripple_program::InjectionPlan,
     layout: &Layout,
     trace: &BbTrace,
-    windows: &WindowIndex,
-    accesses: &LineAccessIndex,
+    outcomes: &IdealOutcomes,
 ) -> AccuracyStats {
     let mut victims: HashMap<BlockId, Vec<LineAddr>> = HashMap::new();
     for inj in plan.injections() {
@@ -282,7 +276,7 @@ pub fn plan_accuracy(
         };
         for &line in lines {
             stats.total += 1;
-            if decision_is_accurate(line, pos as u64, windows, accesses) {
+            if outcomes.is_accurate(line, pos as u64) {
                 stats.accurate += 1;
             }
         }
@@ -290,109 +284,25 @@ pub fn plan_accuracy(
     stats
 }
 
-/// Scores a hardware policy's eviction log against the ideal windows —
-/// the paper's "LRU has 77.8 % average accuracy" measurement.
-///
-/// Wrapper over [`AccuracySink`] for callers holding a materialized log;
-/// when the indexes exist before the run, plug an `AccuracySink` into the
-/// simulation instead and skip the log entirely.
-pub fn eviction_accuracy(
-    evictions: &[EvictionEvent],
-    windows: &WindowIndex,
-    accesses: &LineAccessIndex,
-) -> AccuracyStats {
-    let mut sink = AccuracySink::new(windows, accesses);
-    for &e in evictions {
-        sink.record(e);
-    }
-    sink.into_stats()
-}
-
-/// Streams a simulation's evictions straight into an accuracy tally,
-/// scoring each decision online against pre-built ideal-window and access
-/// indexes — no eviction log is ever materialized.
-#[derive(Debug)]
-pub struct AccuracySink<'a> {
-    windows: &'a WindowIndex,
-    accesses: &'a LineAccessIndex,
-    stats: AccuracyStats,
-}
-
-impl<'a> AccuracySink<'a> {
-    /// Creates a sink scoring against `windows` and `accesses`.
-    pub fn new(windows: &'a WindowIndex, accesses: &'a LineAccessIndex) -> Self {
-        AccuracySink {
-            windows,
-            accesses,
-            stats: AccuracyStats::default(),
+/// Scores a hardware policy's eviction log against the ideal run's
+/// `outcomes`: the paper's "LRU has 77.8 % average accuracy" measurement.
+pub fn eviction_accuracy(evictions: &[EvictionEvent], outcomes: &IdealOutcomes) -> AccuracyStats {
+    let mut stats = AccuracyStats::default();
+    for e in evictions {
+        stats.total += 1;
+        if outcomes.is_accurate(e.victim, e.evict_pos) {
+            stats.accurate += 1;
         }
     }
-
-    /// The tally so far.
-    pub fn stats(&self) -> AccuracyStats {
-        self.stats
-    }
-
-    /// Consumes the sink, returning the tally.
-    pub fn into_stats(self) -> AccuracyStats {
-        self.stats
-    }
-}
-
-impl EvictionSink for AccuracySink<'_> {
-    fn record(&mut self, e: EvictionEvent) {
-        self.stats.total += 1;
-        if decision_is_accurate(e.victim, e.evict_pos, self.windows, self.accesses) {
-            self.stats.accurate += 1;
-        }
-    }
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::EvictionWindow;
 
     fn l(i: u64) -> LineAddr {
         LineAddr::new(i)
-    }
-
-    fn windows_of(spec: &[(u64, u64, u64)]) -> WindowIndex {
-        let ws: Vec<EvictionWindow> = spec
-            .iter()
-            .map(|&(line, start, end)| EvictionWindow {
-                victim: l(line),
-                start,
-                end,
-            })
-            .collect();
-        WindowIndex::build(&ws)
-    }
-
-    #[test]
-    fn window_membership_is_start_exclusive_end_inclusive() {
-        let idx = windows_of(&[(7, 10, 20)]);
-        assert!(!idx.contains(l(7), 10));
-        assert!(idx.contains(l(7), 11));
-        assert!(idx.contains(l(7), 20));
-        assert!(!idx.contains(l(7), 21));
-        assert!(!idx.contains(l(8), 15));
-    }
-
-    #[test]
-    fn multiple_windows_binary_search() {
-        let idx = windows_of(&[(7, 10, 20), (7, 30, 40), (7, 50, 60)]);
-        for (pos, expect) in [(15, true), (25, false), (35, true), (45, false), (55, true)] {
-            assert_eq!(idx.contains(l(7), pos), expect, "pos {pos}");
-        }
-    }
-
-    #[test]
-    fn accuracy_counts_dead_lines_as_accurate() {
-        let windows = windows_of(&[]);
-        let accesses = LineAccessIndex::default();
-        // Never accessed again -> accurate even with no window.
-        assert!(decision_is_accurate(l(3), 5, &windows, &accesses));
     }
 
     #[test]
@@ -426,44 +336,87 @@ mod tests {
         )
     }
 
-    #[test]
-    fn eviction_accuracy_scores_log_entries() {
-        // Block `a`'s line is accessed at positions 5 and 25; block `b`
-        // fills every other position.
+    /// Block `a`'s line is accessed at positions 5 and 25; block `b`
+    /// fills every other position of a 30-block trace.
+    fn a_at_5_and_25() -> (Layout, BbTrace, LineAddr, LineAddr) {
         let (layout, a, b) = two_line_layout();
         let trace = BbTrace::new(
             (0..30)
                 .map(|p| if p == 5 || p == 25 { a } else { b })
                 .collect(),
         );
-        let accesses = LineAccessIndex::build(&layout, &trace);
-        let line = layout.lines_of_block(a).next().unwrap();
-        assert_eq!(accesses.next_access_after(line, 5), Some(25));
+        let la = layout.lines_of_block(a).next().unwrap();
+        let lb = layout.lines_of_block(b).next().unwrap();
+        (layout, trace, la, lb)
+    }
 
-        // An eviction at 15 matches the window (accurate); an eviction at
-        // 22 is premature (line used at 25, no window) -> inaccurate.
-        let windows = WindowIndex::build(&[EvictionWindow {
+    #[test]
+    fn eviction_accuracy_scores_log_entries() {
+        let (layout, trace, line, _) = a_at_5_and_25();
+        let eviction = |evict_pos| EvictionEvent {
             victim: line,
-            start: 10,
-            end: 20,
-        }]);
-        let log = vec![
-            EvictionEvent {
-                victim: line,
-                evict_pos: 15,
-                last_access_pos: 5,
-                by_prefetch: false,
-            },
-            EvictionEvent {
-                victim: line,
-                evict_pos: 22,
-                last_access_pos: 5,
-                by_prefetch: false,
-            },
-        ];
-        let s = eviction_accuracy(&log, &windows, &accesses);
-        assert_eq!(s.accurate, 1);
-        assert_eq!(s.total, 2);
+            evict_pos,
+            last_access_pos: 5,
+            by_prefetch: false,
+        };
+        // Evictions at 15 and 22 both precede the access at 25; one at 27
+        // has no later access.
+        let log = [eviction(15), eviction(22), eviction(27)];
+
+        // The ideal run missed at 25 (say it evicted the line at 20): the
+        // eviction at 22, after the ideal one, adds no miss either.
+        let missed = IdealOutcomes::build(&layout, &trace, &[(line, 5), (line, 25)]);
+        let s = eviction_accuracy(&log, &missed);
+        assert_eq!((s.accurate, s.total), (3, 3));
+
+        // The ideal run hit at 25: both earlier evictions add a miss.
+        let hit = IdealOutcomes::build(&layout, &trace, &[(line, 5)]);
+        let s = eviction_accuracy(&log, &hit);
+        assert_eq!((s.accurate, s.total), (1, 3));
+    }
+
+    #[test]
+    fn ideal_outcomes_follow_the_next_access() {
+        let (layout, trace, la, lb) = a_at_5_and_25();
+        // The ideal run missed `a` at its first access only, and `b` at
+        // position 6 only.
+        let outcomes = IdealOutcomes::build(&layout, &trace, &[(la, 5), (lb, 6)]);
+
+        // A hit versus a miss on the next access.
+        assert!(!outcomes.is_accurate(la, 5), "the ideal run hit at 25");
+        assert!(!outcomes.is_accurate(la, 24));
+        assert!(outcomes.is_accurate(lb, 5), "the ideal run missed b at 6");
+        assert!(!outcomes.is_accurate(lb, 6), "and hit it at 7");
+
+        // A decision before the first access: accurate iff the ideal run
+        // missed that access (a prefetch may have covered it).
+        assert!(outcomes.is_accurate(la, 0));
+        let prefetched = IdealOutcomes::build(&layout, &trace, &[(lb, 0)]);
+        assert!(!prefetched.is_accurate(la, 0));
+
+        // Dead lines: nothing is lost after a line's last access.
+        for pos in [25, 26, 29, 1_000, u64::MAX] {
+            assert!(outcomes.is_accurate(la, pos), "a at {pos}");
+            assert!(prefetched.is_accurate(la, pos), "a at {pos}");
+        }
+        assert!(outcomes.is_accurate(lb, 29));
+    }
+
+    #[test]
+    fn ideal_outcomes_pass_lines_outside_the_layout() {
+        let (layout, trace, la, _) = a_at_5_and_25();
+        let outcomes = IdealOutcomes::build(&layout, &trace, &[(la, 5)]);
+        let (first, last) = layout.line_bounds().unwrap();
+        for line in [
+            LineAddr::new(0),
+            LineAddr::new(first.index() - 1),
+            last.next(),
+            LineAddr::new(u64::MAX),
+        ] {
+            assert!(outcomes.is_accurate(line, 0), "{line}");
+        }
+        // The default outcomes hold no access at all.
+        assert!(IdealOutcomes::default().is_accurate(la, 0));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::analysis::{analyze_windows, Analysis, AnalysisConfig, CoverageStats, 
 use crate::baseline::EvalBaseline;
 use crate::error::{ConfigError, Error};
 use crate::harness::{run_jobs, Job};
-use crate::metrics::{plan_accuracy, AccuracyStats, LineAccessIndex, WindowIndex};
+use crate::metrics::{plan_accuracy, AccuracyStats, IdealOutcomes};
 
 /// Configuration of one Ripple run.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,11 +38,6 @@ pub struct RippleConfig {
     /// flow). Disable only for the ablation measuring how stale a
     /// pre-injection profile becomes.
     pub final_layout_analysis: bool,
-    /// Slot-reservation generosity: slots are placed using
-    /// `threshold * slot_threshold_factor` (and no per-pair recurrence
-    /// floor), so the final-layout pass rarely lacks a slot where it
-    /// wants one. Unassigned slots become no-op invalidations.
-    pub slot_threshold_factor: f64,
     /// Simulator configuration (prefetcher, geometry, latencies).
     pub sim: SimConfig,
     /// Worker threads for the evaluation harness. Both `None` and
@@ -60,7 +55,6 @@ impl Default for RippleConfig {
             underlying: PolicyKind::LRU,
             mechanism: EvictionMechanism::Invalidate,
             final_layout_analysis: true,
-            slot_threshold_factor: 0.6,
             sim: SimConfig::default(),
             threads: None,
         }
@@ -101,12 +95,6 @@ impl RippleConfig {
             Ok(())
         }
         finite_in("threshold", self.threshold, 0.0, 1.0)?;
-        finite_in(
-            "slot_threshold_factor",
-            self.slot_threshold_factor,
-            0.0,
-            1.0,
-        )?;
         self.sim.validate().map_err(ConfigError::Sim)?;
         Ok(())
     }
@@ -180,12 +168,6 @@ impl RippleConfigBuilder {
     /// Enables or disables the final-layout analysis pass.
     pub fn final_layout_analysis(mut self, enabled: bool) -> Self {
         self.config.final_layout_analysis = enabled;
-        self
-    }
-
-    /// Sets the slot-reservation generosity factor (`0.0..=1.0`).
-    pub fn slot_threshold_factor(mut self, factor: f64) -> Self {
-        self.config.slot_threshold_factor = factor;
         self
     }
 
@@ -276,7 +258,6 @@ pub struct Ripple<'p> {
     layout: &'p Layout,
     config: RippleConfig,
     analysis: Analysis,
-    train_windows: WindowIndex,
     /// Observability sink for `train.*` / `eval.*` phases; propagated to
     /// every [`SimSession`] the pipeline creates. [`NullRecorder`] by
     /// default — recorders observe only and never change outcomes.
@@ -302,9 +283,9 @@ impl<'p> Ripple<'p> {
     }
 
     /// [`Ripple::train`] with an observability recorder attached: training
-    /// reports `train.oracle_replay`, `train.cue_selection` and
-    /// `train.window_index` phases, and every evaluation afterwards
-    /// reports `eval.*` phases plus per-job harness timings.
+    /// reports `train.oracle_replay` and `train.cue_selection` phases, and
+    /// every evaluation afterwards reports `eval.*` phases plus per-job
+    /// harness timings.
     pub fn train_with_recorder(
         program: &'p Program,
         layout: &'p Layout,
@@ -329,15 +310,11 @@ impl<'p> Ripple<'p> {
                 &config.analysis,
             )
         });
-        let train_windows = time_phase(&*recorder, "train.window_index", || {
-            WindowIndex::build(analysis.windows())
-        });
         Ok(Ripple {
             program,
             layout,
             config,
             analysis,
-            train_windows,
             recorder,
         })
     }
@@ -356,11 +333,6 @@ impl<'p> Ripple<'p> {
     /// The configuration this optimizer was trained with.
     pub fn config(&self) -> &RippleConfig {
         &self.config
-    }
-
-    /// Windows of the training run, indexed per line.
-    pub fn train_windows(&self) -> &WindowIndex {
-        &self.train_windows
     }
 
     /// The injection plan at the configured threshold.
@@ -431,9 +403,10 @@ impl<'p> Ripple<'p> {
     /// relinking fixes the final layout; a second analysis pass against
     /// that final layout assigns the victim operands (the binary's
     /// addresses are only meaningful once the layout is final). The
-    /// rewritten binary then runs under the underlying policy, and the
-    /// baseline's eviction log is scored against the final layout's ideal
-    /// windows.
+    /// rewritten binary then runs under the underlying policy. Ripple's
+    /// invalidations are scored against the final layout's oracle run, and
+    /// the underlying policy's evictions against the baseline's (see
+    /// [`IdealOutcomes`](crate::IdealOutcomes)).
     ///
     /// An empty plan relinks to the very binary the baseline measured, so
     /// it skips the relink and the rewritten run: its Ripple run *is* the
@@ -490,10 +463,10 @@ impl<'p> Ripple<'p> {
             }
         };
 
-        // Ripple's accuracy against ideal windows: the final layout's when
-        // the final-layout analysis ran, the original layout's otherwise.
-        // The underlying policy ran on the original binary, so its
-        // evictions are always scored in the original layout.
+        // Ripple's accuracy against the ideal run's outcomes: the final
+        // layout's when the final-layout analysis ran, the original
+        // layout's otherwise. The underlying policy ran on the original
+        // binary, so its evictions are always scored in the original layout.
         let accuracy_timer = PhaseTimer::start(&*self.recorder);
         let ripple_accuracy = match &relinked {
             Some(Relinked {
@@ -501,20 +474,10 @@ impl<'p> Ripple<'p> {
                 final_round: Some(round),
                 ..
             }) => {
-                let windows = WindowIndex::build(round.analysis.windows());
-                let accesses = LineAccessIndex::build(layout, eval_trace);
-                plan_accuracy(&round.plan, layout, eval_trace, &windows, &accesses)
+                let outcomes = IdealOutcomes::build(layout, eval_trace, &round.misses);
+                plan_accuracy(&round.plan, layout, eval_trace, &outcomes)
             }
-            _ => {
-                let scoring = baseline.original_scoring();
-                plan_accuracy(
-                    &plan,
-                    self.layout,
-                    eval_trace,
-                    &scoring.windows,
-                    &scoring.accesses,
-                )
-            }
+            _ => plan_accuracy(&plan, self.layout, eval_trace, baseline.outcomes()),
         };
         let underlying_accuracy = baseline.original_accuracy(base);
         accuracy_timer.finish(&*self.recorder, "eval.accuracy");
@@ -580,12 +543,13 @@ impl<'p> Ripple<'p> {
                 .with_recorder(self.recorder.clone());
                 let _ = session.run_with_sink(oracle_cfg.policy, &mut windows_i);
             });
+            let (windows_i, misses_i) = windows_i.into_parts();
             let analysis_i = time_phase(&*self.recorder, "eval.window_analysis", || {
                 analyze_windows(
                     &rewritten.program,
                     &rewritten.layout,
                     eval_trace,
-                    windows_i.into_windows(),
+                    windows_i,
                     &self.config.analysis,
                 )
             });
@@ -629,7 +593,7 @@ impl<'p> Ripple<'p> {
             self.recorder
                 .gauge("eval.slots_assigned", plan_i.len() as f64);
             final_round = Some(FinalRound {
-                analysis: analysis_i,
+                misses: misses_i,
                 plan: plan_i,
                 coverage: coverage_i,
             });
@@ -650,10 +614,10 @@ struct Relinked {
     final_round: Option<FinalRound>,
 }
 
-/// The final-layout analysis: its windows, the plan patched into the
-/// binary, and that plan's coverage.
+/// The final-layout analysis: its oracle run's demand misses, the plan
+/// patched into the binary, and that plan's coverage.
 struct FinalRound {
-    analysis: Analysis,
+    misses: Vec<(LineAddr, u64)>,
     plan: InjectionPlan,
     coverage: CoverageStats,
 }
@@ -803,6 +767,59 @@ mod tests {
     }
 
     #[test]
+    fn an_lru_eviction_after_the_ideal_one_and_before_the_reuse_is_accurate() {
+        use ripple_program::{CodeKind, FuncId, Instruction, ProgramBuilder};
+        use ripple_sim::{CacheGeometry, VecSink};
+
+        // Three one-block functions, each in a cache line of its own.
+        let mut builder = ProgramBuilder::new();
+        let mut blocks = Vec::new();
+        for name in ["a", "b", "c"] {
+            let f = builder.add_function(name, CodeKind::Static);
+            let block = builder.add_block(f);
+            builder.push_inst(block, Instruction::other(10));
+            builder.push_inst(block, Instruction::ret());
+            blocks.push(block);
+        }
+        let program = builder.finish(FuncId::new(0)).unwrap();
+        let layout = Layout::new(&program, &LayoutConfig::default());
+        let line = |i: usize| layout.lines_of_block(blocks[i]).next().unwrap();
+        let (a, b, c) = (line(0), line(1), line(2));
+        assert!(a != b && b != c && a != c);
+
+        // B A C B A through a one-set, two-way L1I. At C (position 2) OPT
+        // evicts A, whose reuse is farthest, and LRU evicts B. LRU then
+        // misses B at 3 and evicts A there: after OPT did, before A's
+        // reuse at 4, which OPT missed too.
+        let trace = BbTrace::new([1, 0, 2, 1, 0].map(|i| blocks[i]).to_vec());
+        let mut cfg = RippleConfig::default();
+        cfg.sim.l1i = CacheGeometry::new(128, 2);
+        let evictions = |policy| {
+            let mut sink = VecSink::new();
+            SimSession::new(&program, &layout, &trace, cfg.sim.clone())
+                .run_with_sink(policy, &mut sink);
+            let log = sink.into_events();
+            log.iter()
+                .map(|e| (e.victim, e.evict_pos))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(evictions(PolicyKind::OPT)[0], (a, 2));
+        assert_eq!(evictions(PolicyKind::LRU), [(b, 2), (a, 3), (c, 4)]);
+
+        // B at 2 costs the hit OPT takes at 3; A at 3 costs nothing OPT
+        // did not also pay; C is never used again.
+        let ripple = Ripple::train(&program, &layout, &trace, cfg).unwrap();
+        let o = ripple.evaluate(&trace).unwrap();
+        assert_eq!(
+            o.underlying_accuracy,
+            AccuracyStats {
+                accurate: 2,
+                total: 3
+            }
+        );
+    }
+
+    #[test]
     fn an_empty_plan_runs_the_baseline_binary() {
         let app = generate(&AppSpec::tiny(21));
         let layout = Layout::new(&app.program, &LayoutConfig::default());
@@ -907,13 +924,6 @@ mod tests {
         assert!(matches!(
             RippleConfig::builder().sim(sim).build(),
             Err(ConfigError::Sim(_))
-        ));
-        assert!(matches!(
-            RippleConfig::builder().slot_threshold_factor(2.0).build(),
-            Err(ConfigError::OutOfRange {
-                field: "slot_threshold_factor",
-                ..
-            })
         ));
     }
 }

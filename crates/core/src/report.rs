@@ -93,7 +93,6 @@ pub const COMPARE_PHASES: &[&str] = &[
 pub const PIPELINE_PHASES: &[&str] = &[
     "train.oracle_replay",
     "train.cue_selection",
-    "train.window_index",
     "eval.plan",
     "eval.final_layout",
     "eval.relink",
@@ -128,7 +127,6 @@ pub const COMPARE_TOP_PHASES: &[&str] = &["harness.batch"];
 pub const PIPELINE_TOP_PHASES: &[&str] = &[
     "train.oracle_replay",
     "train.cue_selection",
-    "train.window_index",
     "eval.plan",
     "eval.final_layout",
     "eval.sim_runs",
@@ -142,7 +140,6 @@ pub const PIPELINE_TOP_PHASES: &[&str] = &[
 pub const SWEEP_TOP_PHASES: &[&str] = &[
     "train.oracle_replay",
     "train.cue_selection",
-    "train.window_index",
     "sweep.baseline",
     "sweep.evaluate",
 ];

@@ -229,8 +229,8 @@ pub struct SimConfig {
     /// Scripted invalidations: `(trace_pos, line)` pairs, sorted by
     /// position, applied *before* the block at that position executes.
     /// This models a perfect software-eviction oracle with zero code
-    /// bloat — the upper bound of Ripple's mechanism — and is used by the
-    /// ablation benches and tests.
+    /// bloat — the upper bound of Ripple's mechanism. Tests and the
+    /// `ripple-check` fuzz cases drive it; no bench does.
     pub scripted_invalidations: Option<std::sync::Arc<Vec<(u64, ripple_program::LineAddr)>>>,
     /// Profile-derived code-temperature classes consumed by hint-guided
     /// policies (currently TRRIP). `None` means every line is warm and

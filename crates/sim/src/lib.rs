@@ -66,5 +66,5 @@ pub use policy::{
     SrripPolicy, StreamRecord, Temperature, TemperatureMap, TreePlruPolicy, TrripPolicy, WayView,
     NEVER,
 };
-pub use sink::{EvictionSink, FnSink, NullSink, VecSink};
+pub use sink::{EvictionSink, NullSink, VecSink};
 pub use stats::{EvictionEvent, SimStats};

@@ -4,13 +4,15 @@
 //! of materializing an `Option<Vec<EvictionEvent>>` inside the engine (and
 //! making "log requested but absent" a representable state), the engine
 //! pushes every eviction into an [`EvictionSink`] as it happens. Consumers
-//! that can process events online (window construction, accuracy scoring)
-//! never buffer the log; consumers that do need it materialized use
-//! [`VecSink`].
+//! that can process events online (window construction) never buffer the
+//! log; consumers that do need it materialized use [`VecSink`].
+
+use ripple_program::LineAddr;
 
 use crate::stats::EvictionEvent;
 
-/// Observer of L1I evictions, called synchronously from the simulation.
+/// Observer of L1I evictions (and, optionally, demand misses), called
+/// synchronously from the simulation.
 ///
 /// Events arrive in trace order (`evict_pos` is non-decreasing) and include
 /// evictions during cache warmup — the analysis wants those even though the
@@ -18,6 +20,10 @@ use crate::stats::EvictionEvent;
 pub trait EvictionSink {
     /// Called once per valid-line eviction.
     fn record(&mut self, event: EvictionEvent);
+
+    /// Called once per L1I demand miss on `line` at trace position `pos`,
+    /// warmup included; hits are never reported. The default ignores it.
+    fn demand_miss(&mut self, _line: LineAddr, _pos: u64) {}
 }
 
 /// Discards every event; the default for runs that only need [`SimStats`]
@@ -61,31 +67,9 @@ impl EvictionSink for VecSink {
     }
 }
 
-impl EvictionSink for Vec<EvictionEvent> {
-    fn record(&mut self, event: EvictionEvent) {
-        self.push(event);
-    }
-}
-
-/// Adapts a closure into a sink.
-pub struct FnSink<F: FnMut(EvictionEvent)>(pub F);
-
-impl<F: FnMut(EvictionEvent)> EvictionSink for FnSink<F> {
-    fn record(&mut self, event: EvictionEvent) {
-        (self.0)(event)
-    }
-}
-
-impl<F: FnMut(EvictionEvent)> std::fmt::Debug for FnSink<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnSink").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripple_program::LineAddr;
 
     fn event(pos: u64) -> EvictionEvent {
         EvictionEvent {
@@ -103,16 +87,6 @@ mod tests {
         sink.record(event(2));
         assert_eq!(sink.events().len(), 2);
         assert_eq!(sink.into_events()[1], event(2));
-    }
-
-    #[test]
-    fn fn_sink_streams() {
-        let mut n = 0u64;
-        let mut sink = FnSink(|e: EvictionEvent| n += e.evict_pos);
-        sink.record(event(3));
-        sink.record(event(4));
-        let FnSink(_) = sink; // release the borrow of `n`
-        assert_eq!(n, 7);
     }
 
     #[test]

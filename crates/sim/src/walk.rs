@@ -277,6 +277,7 @@ impl<P: ?Sized + ReplacementPolicy> Requests for CacheWalk<'_, P> {
                 }
                 self.stall_cycles += f64::from(latency) * self.config.stall_exposure;
             }
+            self.sink.demand_miss(self.table.line(id), self.trace_pos);
             self.note_eviction(evicted, false);
         }
         self.last_demand_pos[id.index()] = self.trace_pos;
@@ -629,5 +630,37 @@ mod tests {
         assert_eq!(stats.compulsory_misses, 0, "A was first touched in warmup");
         assert_eq!(stats.evictions, 1);
         assert_eq!(sink.events().len(), 2, "the sink sees warmup evictions too");
+    }
+
+    /// Records demand misses only.
+    #[derive(Default)]
+    struct MissLog(Vec<(LineAddr, u64)>);
+
+    impl EvictionSink for MissLog {
+        fn record(&mut self, _event: EvictionEvent) {}
+
+        fn demand_miss(&mut self, line: LineAddr, pos: u64) {
+            self.0.push((line, pos));
+        }
+    }
+
+    #[test]
+    fn the_sink_sees_each_demand_miss_once_warmup_included() {
+        let fx = fixture();
+        let cfg = one_line_cfg();
+        let mut sink = MissLog::default();
+        let mut w = walk(&fx, &cfg, 2, &mut sink);
+        demand_at(&mut w, 0, A);
+        demand_at(&mut w, 1, B);
+        demand_at(&mut w, 2, B);
+        demand_at(&mut w, 3, A);
+        // A prefetch fill is not a demand miss, and its demand use hits.
+        w.begin_step(4, BLOCK);
+        w.prefetch(C, BLOCK);
+        w.end_step(BLOCK).unwrap();
+        demand_at(&mut w, 5, C);
+        drop(w);
+        let line = |id| fx.table.line(id);
+        assert_eq!(sink.0, [(line(A), 0), (line(B), 1), (line(A), 3)]);
     }
 }

@@ -405,9 +405,12 @@ fn outcome_violation(case: &RewriteCase) -> Option<String> {
 
 /// Shared-baseline probe: three thresholds evaluated through one
 /// [`EvalBaseline`](ripple::EvalBaseline) must each equal a fresh
-/// per-threshold evaluation. The strictest, 1.0, comes first: only cues
-/// that always precede their eviction pass it, so its plan is usually
-/// empty and reaches the baseline's lazily built state first.
+/// single-threshold evaluation, both one at a time and as one list with
+/// the second threshold repeated (thresholds that agree on a plan share
+/// its relinks and runs only within a list, so the single-threshold call
+/// is the reference). The strictest, 1.0, comes first: only cues that
+/// always precede their eviction pass it, so its plan is usually empty
+/// and reaches the baseline's lazily built state first.
 fn shared_baseline_violation(case: &RewriteCase, config: RippleConfig) -> Option<String> {
     let ripple = match Ripple::train(&case.program, &case.layout, &case.trace, config) {
         Ok(r) => r,
@@ -417,14 +420,28 @@ fn shared_baseline_violation(case: &RewriteCase, config: RippleConfig) -> Option
         Ok(b) => b,
         Err(e) => return Some(format!("baseline failed: {e}")),
     };
-    for threshold in [1.0, case.threshold, case.threshold.min(0.3) / 2.0] {
+    let thresholds = [
+        1.0,
+        case.threshold,
+        case.threshold.min(0.3) / 2.0,
+        case.threshold,
+    ];
+    let mut fresh = Vec::new();
+    for &threshold in &thresholds[..3] {
         let shared = ripple.evaluate_on(&baseline, threshold);
-        let fresh = ripple.evaluate_with_threshold(&case.trace, threshold);
-        if shared != fresh {
+        let single = ripple.evaluate_with_threshold(&case.trace, threshold);
+        if shared != single {
             return Some(format!(
                 "shared-baseline outcome differs from a fresh evaluation at threshold {threshold}"
             ));
         }
+        fresh.push(single);
+    }
+    fresh.push(fresh[1].clone());
+    if ripple.evaluate_thresholds(&baseline, &thresholds) != fresh.into_iter().collect() {
+        return Some(format!(
+            "threshold list {thresholds:?} differs from fresh single-threshold evaluations"
+        ));
     }
     None
 }

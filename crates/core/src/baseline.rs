@@ -1,12 +1,12 @@
 //! The threshold-independent half of an evaluation.
 //!
 //! Every simulation of the *original* binary that
-//! [`Ripple::evaluate_on`](crate::Ripple::evaluate_on) needs depends on
-//! (program, layout, eval trace, sim config) alone, not on the threshold:
-//! the LRU reference, the ideal-replacement and ideal-cache bounds, the
-//! baseline under the underlying policy, and the ideal run's outcomes that
-//! score the underlying policy's evictions (and Ripple's invalidations
-//! when no final-layout analysis ran). An [`EvalBaseline`] measures them
+//! [`Ripple::evaluate_thresholds`](crate::Ripple::evaluate_thresholds)
+//! needs depends on (program, layout, eval trace, sim config) alone, not on
+//! the threshold: the LRU reference, the ideal-replacement and ideal-cache
+//! bounds, the baseline under the underlying policy, and the ideal run's
+//! outcomes that score the underlying policy's evictions (and Ripple's
+//! invalidations when no final-layout analysis ran). An [`EvalBaseline`] measures them
 //! once, so a threshold sweep pays for them once.
 
 use std::sync::{Arc, OnceLock};
@@ -14,12 +14,11 @@ use std::sync::{Arc, OnceLock};
 use ripple_obs::{time_phase, Recorder};
 use ripple_program::{Layout, LineAddr, Program};
 use ripple_sim::{
-    ideal_policy_for, EvictionEvent, PolicyKind, PolicyRegistry, SimConfig, SimSession, SimStats,
-    VecSink,
+    ideal_policy_for, EvictionEvent, EvictionSink, PolicyKind, PolicyRegistry, SimConfig,
+    SimSession, SimStats, VecSink,
 };
 use ripple_trace::BbTrace;
 
-use crate::analysis::WindowSink;
 use crate::error::Error;
 use crate::harness::{effective_threads, run_jobs, Job};
 use crate::metrics::{eviction_accuracy, AccuracyStats, IdealOutcomes};
@@ -48,19 +47,35 @@ impl BaselineRun {
     }
 }
 
+/// Keeps a run's demand misses, `(line, trace position)` in trace order,
+/// and ignores its evictions: all that [`IdealOutcomes::build`] reads.
+#[derive(Debug, Default)]
+struct MissSink(Vec<(LineAddr, u64)>);
+
+impl EvictionSink for MissSink {
+    fn record(&mut self, _event: EvictionEvent) {}
+
+    fn demand_miss(&mut self, line: LineAddr, pos: u64) {
+        self.0.push((line, pos));
+    }
+}
+
 /// Everything an evaluation measures on the original binary, built once
 /// per (program, layout, eval trace, [`SimConfig`]) and shared by every
 /// threshold evaluated against it with
-/// [`Ripple::evaluate_on`](crate::Ripple::evaluate_on).
+/// [`Ripple::evaluate_thresholds`](crate::Ripple::evaluate_thresholds)
+/// (or its one-threshold form,
+/// [`Ripple::evaluate_on`](crate::Ripple::evaluate_on)).
 ///
 /// Construction captures the original binary's [`SimSession`] once and
 /// runs LRU, the ideal oracle and the ideal cache as one harness job
-/// matrix, then frees the capture and builds the oracle run's
-/// [`IdealOutcomes`] (timed as `eval.accuracy`), which score every
-/// evaluation's underlying accuracy. The baseline under a non-LRU underlying policy
-/// (one more run, streamed) is computed only when first needed and cached
-/// behind a `OnceLock`, so a baseline can be shared across parallel
-/// threshold jobs.
+/// matrix (the oracle run keeps only its demand misses), then frees the
+/// capture and builds the oracle run's [`IdealOutcomes`] (timed as
+/// `eval.accuracy`), which score every evaluation's underlying accuracy.
+/// The baseline under a non-LRU underlying policy (one more run,
+/// streamed) is computed only when first needed and cached behind a
+/// `OnceLock`, so a baseline can be shared across parallel jobs, such as
+/// [`sweep`](crate::sweep)'s one job per distinct plan.
 ///
 /// # Examples
 ///
@@ -75,8 +90,9 @@ impl BaselineRun {
 /// let ripple = Ripple::train(&app.program, &layout, &trace, RippleConfig::default())?;
 ///
 /// let baseline = ripple.baseline(&trace)?;
-/// for threshold in [0.45, 0.55, 0.65] {
-///     let shared = ripple.evaluate_on(&baseline, threshold)?;
+/// let thresholds = [0.45, 0.55, 0.65];
+/// let outcomes = ripple.evaluate_thresholds(&baseline, &thresholds)?;
+/// for (threshold, shared) in thresholds.into_iter().zip(outcomes) {
 ///     assert_eq!(shared, ripple.evaluate_with_threshold(&trace, threshold)?);
 /// }
 /// # Ok::<(), ripple::Error>(())
@@ -132,9 +148,9 @@ impl<'a> EvalBaseline<'a> {
         let jobs: Vec<Job<'_, RunOut>> = vec![
             Box::new(move || RunOut::Logged(BaselineRun::logged(session_ref, PolicyKind::LRU))),
             Box::new(move || {
-                let mut sink = WindowSink::new();
+                let mut sink = MissSink::default();
                 let stats = session_ref.run_with_sink(oracle, &mut sink);
-                RunOut::Ideal(stats, sink.into_parts().1)
+                RunOut::Ideal(stats, sink.0)
             }),
             Box::new(move || RunOut::Stats(session_ref.run_ideal_cache())),
         ];

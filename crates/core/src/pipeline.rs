@@ -4,10 +4,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ripple_obs::{time_phase, NullRecorder, PhaseTimer, Recorder};
+use ripple_obs::{time_phase, NullRecorder, Recorder};
 use ripple_program::{
     patch_invalidates, rewrite, rewrite_incremental, BlockId, InjectionPlan, Layout, LineAddr,
-    Program,
+    Program, Rewritten,
 };
 use ripple_sim::{
     ideal_policy_for, EvictionMechanism, PolicyKind, SimConfig, SimSession, SimStats,
@@ -357,7 +357,8 @@ impl<'p> Ripple<'p> {
     /// [`Ripple::evaluate`] at an explicit threshold: builds an
     /// [`EvalBaseline`] on `eval_trace`, then runs [`Ripple::evaluate_on`].
     /// To evaluate several thresholds, build the baseline once with
-    /// [`Ripple::baseline`] and call `evaluate_on` per threshold instead.
+    /// [`Ripple::baseline`] and pass them all to
+    /// [`Ripple::evaluate_thresholds`] instead.
     ///
     /// # Errors
     ///
@@ -395,8 +396,26 @@ impl<'p> Ripple<'p> {
         )
     }
 
-    /// Evaluates the plan at `threshold` against a shared `baseline`: only
-    /// the threshold-dependent work runs here.
+    /// Evaluates the plan at `threshold` against a shared `baseline`: a
+    /// one-threshold [`Ripple::evaluate_thresholds`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Ripple::evaluate_thresholds`].
+    pub fn evaluate_on(
+        &self,
+        baseline: &EvalBaseline<'_>,
+        threshold: f64,
+    ) -> Result<RippleOutcome, Error> {
+        self.evaluate_thresholds(baseline, &[threshold])?
+            .pop()
+            .ok_or_else(|| Error::Internal("missing threshold outcome".to_string()))
+    }
+
+    /// Evaluates the plan at each of `thresholds` against a shared
+    /// `baseline`: only the threshold-dependent work runs here. The
+    /// outcomes come back in `thresholds` order, each equal to a
+    /// one-threshold evaluation's.
     ///
     /// The flow mirrors the paper's link-time deployment: the training
     /// analysis places invalidate *slots* (which cue blocks, how many);
@@ -408,6 +427,13 @@ impl<'p> Ripple<'p> {
     /// the underlying policy's evictions against the baseline's (see
     /// [`IdealOutcomes`](crate::IdealOutcomes)).
     ///
+    /// Each stage's output is a function of the plan it was given, so the
+    /// stages run once per distinct plan, not once per threshold: one
+    /// relink and round-0 analysis per training plan, one incremental
+    /// relink and round-1 analysis per round-1 plan under it, and one
+    /// patch, run and scoring per final plan under that. Thresholds that
+    /// agree on a training plan are counted in `eval.plans_shared`.
+    ///
     /// An empty plan relinks to the very binary the baseline measured, so
     /// it skips the relink and the rewritten run: its Ripple run *is* the
     /// baseline run, with zero overheads.
@@ -415,215 +441,338 @@ impl<'p> Ripple<'p> {
     /// # Errors
     ///
     /// Returns [`Error::Config`] for a non-finite or out-of-range
-    /// `threshold`, [`Error::BaselineMismatch`] when `baseline` was built
-    /// for a different program, layout or sim config, and [`Error::Job`]
-    /// when an evaluation job panicked.
-    pub fn evaluate_on(
+    /// threshold (before any simulation work),
+    /// [`Error::BaselineMismatch`] when `baseline` was built for a
+    /// different program, layout or sim config, and [`Error::Job`] when an
+    /// evaluation job panicked.
+    pub fn evaluate_thresholds(
         &self,
         baseline: &EvalBaseline<'_>,
-        threshold: f64,
-    ) -> Result<RippleOutcome, Error> {
-        check_threshold(threshold)?;
+        thresholds: &[f64],
+    ) -> Result<Vec<RippleOutcome>, Error> {
+        for &threshold in thresholds {
+            check_threshold(threshold)?;
+        }
         baseline.check_built_for(self.program, self.layout, &self.config.sim)?;
+        let recorder = &*self.recorder;
         let eval_trace = baseline.trace();
         let base = baseline.run(self.config.underlying)?;
-        let (mut plan, mut coverage) = time_phase(&*self.recorder, "eval.plan", || {
-            self.analysis.plan_for_threshold(threshold)
+        let (plans, coverage): (Vec<_>, Vec<_>) = time_phase(recorder, "eval.plan", || {
+            thresholds
+                .iter()
+                .map(|&t| self.analysis.plan_for_threshold(t))
+                .unzip()
         });
 
-        let final_layout_timer = PhaseTimer::start(&*self.recorder);
-        let relinked = if plan.is_empty() && baseline.pristine() {
-            None
-        } else {
-            Some(self.relink(eval_trace, threshold, &mut plan))
-        };
-        final_layout_timer.finish(&*self.recorder, "eval.final_layout");
-        if let Some(Relinked {
-            final_round: Some(round),
-            ..
-        }) = &relinked
-        {
-            coverage = round.coverage;
+        let (plans, plan_of) = distinct_plans(plans);
+        let mut staged = Vec::with_capacity(thresholds.len());
+        for (k, plan) in plans.iter().enumerate() {
+            let members = members_of(k, &plan_of, 0..thresholds.len());
+            let (slots, ripple) = if plan.is_empty() && baseline.pristine() {
+                (0, base.stats.clone())
+            } else {
+                recorder.add("eval.plans_shared", members.len() as u64 - 1);
+                let rewritten = time_phase(recorder, "eval.final_layout", || {
+                    time_phase(recorder, "eval.relink", || {
+                        rewrite(self.program, self.layout, plan)
+                    })
+                });
+                if self.config.final_layout_analysis && !plan.is_empty() {
+                    staged
+                        .extend(self.fixpoint(eval_trace, thresholds, plan, &members, rewritten)?);
+                    continue;
+                }
+                let ripple = self.run_linked(&rewritten.program, &rewritten.layout, eval_trace)?;
+                (plan.len(), ripple)
+            };
+            // Without a final-layout round, the training plan is linked as
+            // is and scored in the original layout.
+            let accuracy = time_phase(recorder, "eval.accuracy", || {
+                plan_accuracy(plan, self.layout, eval_trace, baseline.outcomes())
+            });
+            staged.extend(members.iter().map(|&i| Staged {
+                index: i,
+                coverage: coverage[i],
+                slots,
+                ripple: ripple.clone(),
+                accuracy,
+            }));
         }
+        staged.sort_by_key(|s| s.index);
 
-        let ripple_stats = match &relinked {
-            None => base.stats.clone(),
-            Some(relinked) => {
-                let mut under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
-                under_cfg.eviction_mechanism = self.config.mechanism;
-                let session =
-                    SimSession::new(&relinked.program, &relinked.layout, eval_trace, under_cfg)
-                        .with_recorder(self.recorder.clone());
-                let underlying = self.config.underlying;
-                let job: Job<'_, SimStats> = Box::new(|| session.run(underlying));
-                time_phase(&*self.recorder, "eval.sim_runs", || {
-                    run_jobs(1, "evaluate", &*self.recorder, vec![job]).pop()
-                })
-                .ok_or_else(|| Error::Internal("missing ripple job output".to_string()))??
-            }
-        };
-
-        // Ripple's accuracy against the ideal run's outcomes: the final
-        // layout's when the final-layout analysis ran, the original
-        // layout's otherwise. The underlying policy ran on the original
-        // binary, so its evictions are always scored in the original layout.
-        let accuracy_timer = PhaseTimer::start(&*self.recorder);
-        let ripple_accuracy = match &relinked {
-            Some(Relinked {
-                layout,
-                final_round: Some(round),
-                ..
-            }) => {
-                let outcomes = IdealOutcomes::build(layout, eval_trace, &round.misses);
-                plan_accuracy(&round.plan, layout, eval_trace, &outcomes)
-            }
-            _ => plan_accuracy(&plan, self.layout, eval_trace, baseline.outcomes()),
-        };
-        let underlying_accuracy = baseline.original_accuracy(base);
-        accuracy_timer.finish(&*self.recorder, "eval.accuracy");
-
+        let underlying_accuracy = time_phase(recorder, "eval.accuracy", || {
+            baseline.original_accuracy(base)
+        });
         let static_orig = self.program.static_instruction_count();
-        let static_overhead_pct = plan.len() as f64 / static_orig as f64 * 100.0;
-        let dyn_orig = ripple_stats.instructions;
-        let dynamic_overhead_pct = if dyn_orig == 0 {
-            0.0
-        } else {
-            ripple_stats.invalidate_instructions as f64 / dyn_orig as f64 * 100.0
-        };
-
-        Ok(RippleOutcome {
-            coverage,
-            injected_static: plan.len(),
-            baseline: base.stats.clone(),
-            ripple: ripple_stats,
-            ideal: baseline.ideal().clone(),
-            ideal_cache: baseline.ideal_cache().clone(),
-            lru_reference: baseline.lru().clone(),
-            ripple_accuracy,
-            underlying_accuracy,
-            static_overhead_pct,
-            dynamic_overhead_pct,
-        })
+        Ok(staged
+            .into_iter()
+            .map(|s| {
+                let dyn_orig = s.ripple.instructions;
+                let dynamic_overhead_pct = if dyn_orig == 0 {
+                    0.0
+                } else {
+                    s.ripple.invalidate_instructions as f64 / dyn_orig as f64 * 100.0
+                };
+                RippleOutcome {
+                    coverage: s.coverage,
+                    injected_static: s.slots,
+                    baseline: base.stats.clone(),
+                    ripple: s.ripple,
+                    ideal: baseline.ideal().clone(),
+                    ideal_cache: baseline.ideal_cache().clone(),
+                    lru_reference: baseline.lru().clone(),
+                    ripple_accuracy: s.accuracy,
+                    underlying_accuracy,
+                    static_overhead_pct: s.slots as f64 / static_orig as f64 * 100.0,
+                    dynamic_overhead_pct,
+                }
+            })
+            .collect())
     }
 
-    /// Applies `plan` and relinks. With the final-layout analysis enabled
-    /// and a non-empty plan, this is a layout fixpoint iteration: victims
-    /// are expressed as layout-independent `CodeLoc`s, so a plan derived
-    /// against one layout can be re-applied to the pristine program. Each
-    /// round relinks with the current plan, re-runs the oracle on that
-    /// layout, and derives the next plan; by the last round the plan's own
-    /// layout is (very nearly) the layout it was derived against, and the
-    /// residual is closed by patching operands in place. `plan` ends as
-    /// the slot plan the binary was linked with.
-    fn relink(&self, eval_trace: &BbTrace, threshold: f64, plan: &mut InjectionPlan) -> Relinked {
-        let rounds = if self.config.final_layout_analysis && !plan.is_empty() {
-            2
-        } else {
-            0
-        };
-        let mut rewritten = time_phase(&*self.recorder, "eval.relink", || {
-            rewrite(self.program, self.layout, plan)
+    /// The layout fixpoint for the thresholds `members`, whose training
+    /// plan `plan` was linked as `rewritten`. Victims are expressed as
+    /// layout-independent `CodeLoc`s, so a plan derived against one layout
+    /// can be re-applied to the pristine program. Round 0 re-runs the
+    /// oracle on the linked layout and re-places the slots; round 1
+    /// relinks only the functions whose injected prefixes changed, re-runs
+    /// the oracle, and assigns victims to the frozen slots. By then the
+    /// plan's own layout is (very nearly) the layout it was derived
+    /// against, and patching operands in place closes the residual.
+    fn fixpoint(
+        &self,
+        eval_trace: &BbTrace,
+        thresholds: &[f64],
+        plan: &InjectionPlan,
+        members: &[usize],
+        rewritten: Rewritten,
+    ) -> Result<Vec<Staged>, Error> {
+        // The round-0 analysis is dropped as soon as every round-1 plan
+        // is known.
+        let slot_plans = time_phase(&*self.recorder, "eval.final_layout", || {
+            let (analysis, _) = self.analyze_linked(&rewritten, eval_trace);
+            members
+                .iter()
+                .map(|&i| analysis.plan_for_threshold(thresholds[i]).0)
+                .collect()
         });
-        let mut final_round = None;
-        for round in 0..rounds {
-            let mut oracle_cfg = self
-                .config
-                .sim
-                .clone()
-                .with_policy(self.config.analysis_oracle());
-            oracle_cfg.eviction_mechanism = EvictionMechanism::NoOp;
-            let mut windows_i = WindowSink::new();
-            time_phase(&*self.recorder, "eval.oracle_replay", || {
-                let session = SimSession::new(
-                    &rewritten.program,
-                    &rewritten.layout,
-                    eval_trace,
-                    oracle_cfg.clone(),
-                )
-                .with_recorder(self.recorder.clone());
-                let _ = session.run_with_sink(oracle_cfg.policy, &mut windows_i);
+        let (slot_plans, slot_plan_of) = distinct_plans(slot_plans);
+        let mut staged = Vec::with_capacity(members.len());
+        // Every round-1 plan but the last relinks from a copy of the
+        // round-0 binary; the last takes the binary itself.
+        let Some((last, others)) = slot_plans.split_last() else {
+            return Ok(staged);
+        };
+        for (k, slot_plan) in others.iter().enumerate() {
+            let group = members_of(k, &slot_plan_of, members.iter().copied());
+            staged.extend(self.final_round(
+                eval_trace,
+                thresholds,
+                &group,
+                plan,
+                slot_plan,
+                rewritten.clone(),
+            )?);
+        }
+        let group = members_of(others.len(), &slot_plan_of, members.iter().copied());
+        staged.extend(self.final_round(eval_trace, thresholds, &group, plan, last, rewritten)?);
+        Ok(staged)
+    }
+
+    /// The fixpoint's final round for the thresholds `members`, whose
+    /// round-1 plan is `slot_plan` (`prev` being linked with their
+    /// training plan `plan`). The layout is frozen after this
+    /// relink: each threshold selects cues *subject to* the reserved slot
+    /// budget (each window picks an eligible cue that still has a free
+    /// slot), and each distinct selection is patched in and run.
+    fn final_round(
+        &self,
+        eval_trace: &BbTrace,
+        thresholds: &[f64],
+        members: &[usize],
+        plan: &InjectionPlan,
+        slot_plan: &InjectionPlan,
+        prev: Rewritten,
+    ) -> Result<Vec<Staged>, Error> {
+        let recorder = &*self.recorder;
+        let (linked, misses, finals) = time_phase(recorder, "eval.final_layout", || {
+            let linked = time_phase(recorder, "eval.relink", || {
+                rewrite_incremental(self.program, self.layout, slot_plan, plan, prev)
             });
-            let (windows_i, misses_i) = windows_i.into_parts();
-            let analysis_i = time_phase(&*self.recorder, "eval.window_analysis", || {
-                analyze_windows(
-                    &rewritten.program,
-                    &rewritten.layout,
-                    eval_trace,
-                    windows_i,
-                    &self.config.analysis,
-                )
-            });
-            if round + 1 < rounds {
-                // Intermediate round: re-place slots from this layout's
-                // analysis and relink only the functions whose injected
-                // prefixes changed, splicing the rest of the old layout.
-                let (plan_i, _) = analysis_i.plan_for_threshold(threshold);
-                rewritten = time_phase(&*self.recorder, "eval.relink", || {
-                    rewrite_incremental(self.program, self.layout, &plan_i, plan, rewritten)
-                });
-                *plan = plan_i;
-                continue;
-            }
-            // Final round: the layout is frozen; select cues *subject to*
-            // the reserved slot budget (each window picks an eligible cue
-            // that still has a free slot) and patch operands in place.
-            let (plan_i, coverage_i) = time_phase(&*self.recorder, "eval.patch", || {
-                // `plan` is what the binary was linked with: one slot per
-                // injection at its cue, with no scan over every block.
+            let (analysis, misses) = self.analyze_linked(&linked, eval_trace);
+            let finals: Vec<_> = time_phase(recorder, "eval.patch", || {
+                // The slot plan is what the binary was linked with: one
+                // slot per injection at its cue, with no scan over every
+                // block.
                 let mut slots: HashMap<BlockId, usize> = HashMap::new();
-                for inj in plan.injections() {
+                for inj in slot_plan.injections() {
                     *slots.entry(inj.cue).or_default() += 1;
                 }
                 debug_assert!(slots.iter().all(|(&cue, &n)| {
-                    rewritten.program.block(cue).injected_prefix_len() as usize == n
+                    linked.program.block(cue).injected_prefix_len() as usize == n
                 }));
-                let (plan_i, coverage_i) = analysis_i.plan_for_slots(threshold, &slots);
-                let mut assignments: HashMap<BlockId, Vec<LineAddr>> = HashMap::new();
-                for inj in plan_i.injections() {
-                    assignments
-                        .entry(inj.cue)
-                        .or_default()
-                        .push(rewritten.layout.line_of(inj.victim));
-                }
-                patch_invalidates(&mut rewritten.program, &assignments);
-                (plan_i, coverage_i)
+                members
+                    .iter()
+                    .map(|&i| analysis.plan_for_slots(thresholds[i], &slots))
+                    .collect()
             });
-            self.recorder
-                .gauge("eval.slots_reserved", plan.len() as f64);
-            self.recorder
-                .gauge("eval.slots_assigned", plan_i.len() as f64);
-            final_round = Some(FinalRound {
-                misses: misses_i,
-                plan: plan_i,
-                coverage: coverage_i,
+            (linked, misses, finals)
+        });
+        recorder.gauge("eval.slots_reserved", slot_plan.len() as f64);
+        let (final_plans, coverage): (Vec<_>, Vec<_>) = finals.into_iter().unzip();
+        let (final_plans, final_plan_of) = distinct_plans(final_plans);
+
+        // `patch_invalidates` rewrites every slot of the binary, so each
+        // final plan patches the same binary in turn.
+        let Rewritten {
+            mut program,
+            layout,
+            ..
+        } = linked;
+        let mut runs = Vec::with_capacity(final_plans.len());
+        for final_plan in &final_plans {
+            time_phase(recorder, "eval.final_layout", || {
+                time_phase(recorder, "eval.patch", || {
+                    let mut assignments: HashMap<BlockId, Vec<LineAddr>> = HashMap::new();
+                    for inj in final_plan.injections() {
+                        assignments
+                            .entry(inj.cue)
+                            .or_default()
+                            .push(layout.line_of(inj.victim));
+                    }
+                    patch_invalidates(&mut program, &assignments);
+                })
             });
+            recorder.gauge("eval.slots_assigned", final_plan.len() as f64);
+            runs.push(self.run_linked(&program, &layout, eval_trace)?);
         }
-        Relinked {
-            program: rewritten.program,
-            layout: rewritten.layout,
-            final_round,
-        }
+        drop(program);
+
+        // Built after the final runs, so the outcomes never share their
+        // peak.
+        let accuracy: Vec<_> = time_phase(recorder, "eval.accuracy", || {
+            let outcomes = IdealOutcomes::build(&layout, eval_trace, &misses);
+            final_plans
+                .iter()
+                .map(|p| plan_accuracy(p, &layout, eval_trace, &outcomes))
+                .collect()
+        });
+        Ok(members
+            .iter()
+            .zip(final_plan_of)
+            .zip(coverage)
+            .map(|((&index, k), coverage)| Staged {
+                index,
+                coverage,
+                slots: slot_plan.len(),
+                ripple: runs[k].clone(),
+                accuracy: accuracy[k],
+            })
+            .collect())
+    }
+
+    /// Replays the analysis oracle over a linked binary and analyzes its
+    /// eviction windows, returning the analysis and the run's demand
+    /// misses.
+    fn analyze_linked(
+        &self,
+        linked: &Rewritten,
+        eval_trace: &BbTrace,
+    ) -> (Analysis, Vec<(LineAddr, u64)>) {
+        let mut oracle_cfg = self
+            .config
+            .sim
+            .clone()
+            .with_policy(self.config.analysis_oracle());
+        oracle_cfg.eviction_mechanism = EvictionMechanism::NoOp;
+        let mut windows = WindowSink::new();
+        time_phase(&*self.recorder, "eval.oracle_replay", || {
+            let session = SimSession::new(
+                &linked.program,
+                &linked.layout,
+                eval_trace,
+                oracle_cfg.clone(),
+            )
+            .with_recorder(self.recorder.clone());
+            let _ = session.run_with_sink(oracle_cfg.policy, &mut windows);
+        });
+        let (windows, misses) = windows.into_parts();
+        let analysis = time_phase(&*self.recorder, "eval.window_analysis", || {
+            analyze_windows(
+                &linked.program,
+                &linked.layout,
+                eval_trace,
+                windows,
+                &self.config.analysis,
+            )
+        });
+        (analysis, misses)
+    }
+
+    /// Runs a linked binary under the underlying policy and the configured
+    /// mechanism, timed as `eval.sim_runs`.
+    fn run_linked(
+        &self,
+        program: &Program,
+        layout: &Layout,
+        eval_trace: &BbTrace,
+    ) -> Result<SimStats, Error> {
+        let mut under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
+        under_cfg.eviction_mechanism = self.config.mechanism;
+        let session = SimSession::new(program, layout, eval_trace, under_cfg)
+            .with_recorder(self.recorder.clone());
+        let underlying = self.config.underlying;
+        let job: Job<'_, SimStats> = Box::new(|| session.run(underlying));
+        Ok(time_phase(&*self.recorder, "eval.sim_runs", || {
+            run_jobs(1, "evaluate", &*self.recorder, vec![job]).pop()
+        })
+        .ok_or_else(|| Error::Internal("missing ripple job output".to_string()))??)
     }
 }
 
-/// A relinked binary and what the layout fixpoint learned about it.
-struct Relinked {
-    program: Program,
-    layout: Layout,
-    /// The final-layout analysis round (`None` when it did not run).
-    final_round: Option<FinalRound>,
+/// One threshold's share of a staged evaluation.
+struct Staged {
+    /// The threshold's index in the evaluated list.
+    index: usize,
+    coverage: CoverageStats,
+    /// Static invalidates the binary was linked with.
+    slots: usize,
+    ripple: SimStats,
+    accuracy: AccuracyStats,
 }
 
-/// The final-layout analysis: its oracle run's demand misses, the plan
-/// patched into the binary, and that plan's coverage.
-struct FinalRound {
-    misses: Vec<(LineAddr, u64)>,
-    plan: InjectionPlan,
-    coverage: CoverageStats,
+/// Deduplicates `plans`: the distinct plans in first-appearance order,
+/// and for each input plan the index of its distinct copy.
+pub(crate) fn distinct_plans(plans: Vec<InjectionPlan>) -> (Vec<InjectionPlan>, Vec<usize>) {
+    let mut distinct: Vec<InjectionPlan> = Vec::new();
+    let plan_of = plans
+        .into_iter()
+        .map(|plan| match distinct.iter().position(|d| *d == plan) {
+            Some(k) => k,
+            None => {
+                distinct.push(plan);
+                distinct.len() - 1
+            }
+        })
+        .collect();
+    (distinct, plan_of)
+}
+
+/// The `ids` whose plan (by `plan_of`, aligned with `ids`) is distinct
+/// plan `k`.
+pub(crate) fn members_of(
+    k: usize,
+    plan_of: &[usize],
+    ids: impl Iterator<Item = usize>,
+) -> Vec<usize> {
+    ids.zip(plan_of)
+        .filter(|&(_, &of)| of == k)
+        .map(|(id, _)| id)
+        .collect()
 }
 
 /// An explicit sweep threshold must be a finite probability.
-fn check_threshold(threshold: f64) -> Result<(), Error> {
+pub(crate) fn check_threshold(threshold: f64) -> Result<(), Error> {
     if !threshold.is_finite() {
         return Err(Error::Config(ConfigError::NotFinite { field: "threshold" }));
     }
@@ -744,6 +893,98 @@ mod tests {
                 assert!(injected.contains(&0), "no empty plan: {injected:?}");
                 assert!(injected.iter().any(|&n| n > 0), "no plan: {injected:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_threshold_list_gives_the_outcomes_of_single_threshold_evaluations() {
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 30_000);
+        // A repeat, and a strictest threshold whose plan is likely empty.
+        let thresholds = [0.45, 0.55, 0.65, 0.55, 1.0];
+        for underlying in [PolicyKind::LRU, PolicyKind::RANDOM] {
+            for prefetcher in [PrefetcherKind::None, PrefetcherKind::Fdip] {
+                let mut cfg = small_config();
+                cfg.underlying = underlying;
+                cfg.sim.prefetcher = prefetcher;
+                let ripple = Ripple::train(&app.program, &layout, &trace, cfg).unwrap();
+                let baseline = ripple.baseline(&trace).unwrap();
+                let batch = ripple.evaluate_thresholds(&baseline, &thresholds).unwrap();
+                assert_eq!(batch.len(), thresholds.len());
+                for (&t, outcome) in thresholds.iter().zip(&batch) {
+                    let single = ripple.evaluate_with_threshold(&trace, t).unwrap();
+                    assert_eq!(*outcome, single, "{underlying:?}/{prefetcher:?} at {t}");
+                }
+                assert!(batch[0].injected_static > 0, "no plan at 0.45");
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_sharing_a_plan_share_its_relinks_and_runs() {
+        use ripple_obs::MetricsRecorder;
+
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 30_000);
+        let metrics = Arc::new(MetricsRecorder::new());
+        let ripple = Ripple::train_with_recorder(
+            &app.program,
+            &layout,
+            &trace,
+            small_config(),
+            metrics.clone(),
+        )
+        .unwrap();
+        let thresholds = [0.35, 0.4, 0.45];
+        let (plan, _) = ripple.analysis().plan_for_threshold(thresholds[0]);
+        assert!(!plan.is_empty());
+        for &t in &thresholds[1..] {
+            assert_eq!(ripple.analysis().plan_for_threshold(t).0, plan, "at {t}");
+        }
+        let baseline = ripple.baseline(&trace).unwrap();
+        ripple.evaluate_thresholds(&baseline, &thresholds).unwrap();
+        let snapshot = metrics.snapshot();
+        // One relink serves all three: two oracle replays, one per
+        // fixpoint round, not two per threshold.
+        assert_eq!(snapshot.phase("eval.oracle_replay").unwrap().count, 2);
+        assert_eq!(snapshot.counter("eval.plans_shared"), Some(2));
+    }
+
+    #[test]
+    fn a_sweep_is_bit_identical_at_one_and_two_threads() {
+        use crate::threshold::sweep;
+
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 30_000);
+        let thresholds = [0.3, 0.35, 0.4, 0.45, 0.55, 1.0, 0.4];
+        let points: Vec<_> = [1, 2]
+            .map(|threads| {
+                let mut cfg = small_config();
+                cfg.threads = Some(threads);
+                let ripple = Ripple::train(&app.program, &layout, &trace, cfg).unwrap();
+                sweep(&ripple, &trace, &thresholds).unwrap()
+            })
+            .into_iter()
+            .collect();
+        let bits = |p: &crate::ThresholdPoint| {
+            [p.threshold, p.coverage, p.accuracy, p.speedup_pct].map(f64::to_bits)
+        };
+        assert_eq!(points[0].len(), thresholds.len());
+        for (one, two) in points[0].iter().zip(&points[1]) {
+            assert_eq!(bits(one), bits(two));
+        }
+        let ripple = Ripple::train(&app.program, &layout, &trace, small_config()).unwrap();
+        for (&t, point) in thresholds.iter().zip(&points[0]) {
+            let single = ripple.evaluate_with_threshold(&trace, t).unwrap();
+            assert_eq!(point.threshold, t);
+            assert_eq!(point.speedup_pct.to_bits(), single.speedup_pct().to_bits());
+            assert_eq!(
+                point.coverage.to_bits(),
+                single.coverage.coverage().to_bits()
+            );
         }
     }
 

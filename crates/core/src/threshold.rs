@@ -6,7 +6,7 @@ use ripple_trace::BbTrace;
 
 use crate::error::Error;
 use crate::harness::{effective_threads, run_jobs, Job};
-use crate::pipeline::Ripple;
+use crate::pipeline::{check_threshold, distinct_plans, members_of, Ripple};
 
 /// One point of the coverage/accuracy trade-off curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,21 +26,24 @@ pub struct ThresholdPoint {
 ///
 /// The original binary's runs do not depend on the threshold, so the sweep
 /// measures them once as an [`EvalBaseline`](crate::EvalBaseline) and
-/// every threshold shares it through [`Ripple::evaluate_on`]; a threshold
-/// whose plan is empty costs no relink and no simulation. Thresholds are
-/// independent, so they run as parallel harness jobs (the worker count
-/// follows the trained config's `threads`); the returned points are in
-/// `thresholds` order, bit-identical to a sequential sweep and to
+/// every threshold shares it. Thresholds that agree on a training plan
+/// share its relinks and runs too: the sweep runs one parallel harness
+/// job per distinct training plan, each a
+/// [`Ripple::evaluate_thresholds`] over that plan's thresholds (the
+/// worker count follows the trained config's `threads`), and a plan that
+/// is empty costs no relink and no simulation. The returned points are in
+/// `thresholds` order, bit-identical at any worker count and to
 /// per-threshold [`Ripple::evaluate_with_threshold`] calls. The two halves
 /// are timed as the disjoint phases `sweep.baseline` and `sweep.evaluate`
 /// (parallel jobs' `eval.*` phases overlap inside the latter).
 ///
 /// # Errors
 ///
-/// A failed baseline run aborts the sweep before any threshold runs. After
-/// that, the first point that fails to evaluate — an invalid threshold
-/// ([`Error::Config`]) or an isolated job panic ([`Error::Job`]) — aborts
-/// the sweep's result (the remaining jobs still run to completion).
+/// An invalid threshold ([`Error::Config`]) aborts the sweep before any
+/// simulation, and a failed baseline run before any threshold runs.
+/// After that, the first point whose job fails (an isolated job panic,
+/// [`Error::Job`]) aborts the sweep's result (the remaining jobs still run
+/// to completion).
 pub fn sweep(
     ripple: &Ripple<'_>,
     eval_trace: &BbTrace,
@@ -49,31 +52,55 @@ pub fn sweep(
     if thresholds.is_empty() {
         return Ok(Vec::new());
     }
+    for &threshold in thresholds {
+        check_threshold(threshold)?;
+    }
     let threads = effective_threads(ripple.config().threads);
     let recorder = &**ripple.recorder();
     let baseline = time_phase(recorder, "sweep.baseline", || ripple.baseline(eval_trace))?;
     let baseline = &baseline;
-    let jobs: Vec<Job<'_, Result<ThresholdPoint, Error>>> = thresholds
-        .iter()
-        .map(|&t| -> Job<'_, Result<ThresholdPoint, Error>> {
-            Box::new(move || {
-                let outcome = ripple.evaluate_on(baseline, t)?;
-                Ok(ThresholdPoint {
-                    threshold: t,
-                    coverage: outcome.coverage.coverage(),
-                    accuracy: outcome.ripple_accuracy.accuracy(),
-                    speedup_pct: outcome.speedup_pct(),
+    let (plan_of, results) = time_phase(recorder, "sweep.evaluate", || {
+        let plans = thresholds
+            .iter()
+            .map(|&t| ripple.analysis().plan_for_threshold(t).0)
+            .collect();
+        let (plans, plan_of) = distinct_plans(plans);
+        let jobs: Vec<Job<'_, Result<Vec<ThresholdPoint>, Error>>> = (0..plans.len())
+            .map(|k| -> Job<'_, Result<Vec<ThresholdPoint>, Error>> {
+                let group: Vec<f64> = members_of(k, &plan_of, 0..thresholds.len())
+                    .into_iter()
+                    .map(|i| thresholds[i])
+                    .collect();
+                Box::new(move || {
+                    let outcomes = ripple.evaluate_thresholds(baseline, &group)?;
+                    Ok(group
+                        .iter()
+                        .zip(outcomes)
+                        .map(|(&threshold, outcome)| ThresholdPoint {
+                            threshold,
+                            coverage: outcome.coverage.coverage(),
+                            accuracy: outcome.ripple_accuracy.accuracy(),
+                            speedup_pct: outcome.speedup_pct(),
+                        })
+                        .collect())
                 })
             })
-        })
-        .collect();
-    let outcomes = time_phase(recorder, "sweep.evaluate", || {
-        run_jobs(threads, "sweep", recorder, jobs)
+            .collect();
+        (plan_of, run_jobs(threads, "sweep", recorder, jobs))
     });
-    outcomes
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
+    // Plans are numbered by first appearance, so the first failed job
+    // holds the first failed point.
+    let mut groups = Vec::with_capacity(results.len());
+    for result in results {
+        groups.push(result??.into_iter());
+    }
+    plan_of
+        .iter()
+        .map(|&k| {
+            groups[k]
+                .next()
+                .ok_or_else(|| Error::Internal("sweep group ran short".to_string()))
+        })
         .collect()
 }
 

@@ -5,6 +5,9 @@
 //! sequential (its baseline, policy matrix and Ripple evaluations run on
 //! one worker). A point measures the original binary once, as an
 //! [`EvalBaseline`], and every threshold of every underlying shares it.
+//! An underlying's thresholds are evaluated as one list
+//! ([`Ripple::evaluate_thresholds`]), so thresholds that agree on a plan
+//! share its relinks and runs.
 //! Each point reports into the lab's recorder. Results come back in
 //! grid-expansion order regardless of scheduling, and every figure is a
 //! pure function of the declaration — the emitted report is
@@ -320,13 +323,13 @@ fn run_point(
         };
         let ripple = Ripple::train_with_recorder(program, layout, trace, config, recorder.clone())
             .map_err(|e| LabError::Run(format!("{app}: train: {e}")))?;
+        let outcomes = ripple
+            .evaluate_thresholds(&baseline, &resolved.thresholds)
+            .map_err(|e| LabError::Run(format!("{app}: evaluate thresholds: {e}")))?;
         let mut best_at = 0usize;
         let mut best_speedup = f64::NEG_INFINITY;
         let group_start = ripple_rows.len();
-        for (i, &threshold) in resolved.thresholds.iter().enumerate() {
-            let o = ripple.evaluate_on(&baseline, threshold).map_err(|e| {
-                LabError::Run(format!("{app}: evaluate at threshold {threshold}: {e}"))
-            })?;
+        for (i, (&threshold, o)) in resolved.thresholds.iter().zip(&outcomes).enumerate() {
             // Tuning rule: highest pipeline speedup wins, first listed
             // threshold wins ties (a sequential scan's behaviour).
             if o.speedup_pct() > best_speedup {

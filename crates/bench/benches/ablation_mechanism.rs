@@ -22,9 +22,10 @@ fn main() {
             EvictionMechanism::Demote,
             EvictionMechanism::NoOp,
         ] {
+            let mut sim = sim_config(PrefetcherKind::None);
+            sim.eviction_mechanism = mech;
             let config = RippleConfig {
-                sim: sim_config(PrefetcherKind::None),
-                mechanism: mech,
+                sim,
                 ..RippleConfig::default()
             };
             let ripple = Ripple::train(&loaded.app.program, &loaded.layout, &loaded.trace, config)

@@ -22,12 +22,13 @@
 //! 6. [`faults`] — fault injection: randomly mutated trace bytes and
 //!    report documents must surface typed errors (strict) or accounted
 //!    loss (lossy), and never panic;
-//! 7. [`rewrite_eq`] — incremental relinking vs full rewrite on random
-//!    injection-plan chains, dense vs reference cue analysis on real
-//!    oracle window sets, the dense line tables (access index, origins,
-//!    line mapper) vs the map-based references in [`map_ref`], Fig. 10's
-//!    accuracy rule vs the map-based gap rule, and 1-vs-4-thread
-//!    `RippleOutcome` invariance;
+//! 7. [`rewrite_eq`] — every relink of random injection plans vs a fresh
+//!    layout of the relinked program, the dense line tables (access
+//!    index, origins, and each relink's line mapper) vs the map-based
+//!    references in [`map_ref`], dense vs reference cue analysis on real
+//!    oracle window sets, Fig. 10's accuracy rule vs the map-based gap
+//!    rule, 1-vs-4-thread `RippleOutcome` invariance, and shared-baseline
+//!    evaluations vs fresh ones;
 //! 8. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
 //!    weighted profile merging must equal physically repeating each shard
 //!    `weight` times in one long trace, independent of shard order, all
@@ -72,7 +73,7 @@ pub enum Dimension {
     TraceRoundTrip,
     /// Fault injection: corrupted traces and reports never panic.
     Faults,
-    /// Incremental relink vs full rewrite + dense vs reference analysis.
+    /// Relinked line tables and dense analysis vs map-based references.
     Rewrite,
     /// Fleet shard aggregation vs the physical-repetition oracle.
     Fleet,

@@ -1,27 +1,25 @@
-//! Dimension 7: incremental relinking and dense-analysis equivalence.
+//! Dimension 7: relinking and dense-analysis equivalence.
 //!
-//! The pipeline's fixpoint loop relinks each round with
-//! [`rewrite_incremental`] — re-laying-out only the functions whose
-//! injected prefixes changed and splicing the rest from the previous
-//! layout — and selects cues with the dense, epoch-stamped
-//! [`analyze_windows`]. Both are pure optimizations with retained
-//! reference implementations ([`rewrite`] and the checker-owned
-//! [`analyze_windows_reference`]); this dimension fuzzes random
-//! injection-plan chains and real oracle window sets and demands
-//! byte-identical results. The dense line tables on the same paths — the
+//! The pipeline's fixpoint relinks each round with [`rewrite`] and selects
+//! cues with the dense, epoch-stamped [`analyze_windows`]. A relink lays
+//! the program out again from the sizes the profiled layout measured, and
+//! must equal a fresh [`Layout::new`]; the analysis is a pure optimization
+//! with a retained reference implementation (the checker-owned
+//! [`analyze_windows_reference`]). This dimension fuzzes random injection
+//! plans and real oracle window sets and demands identical results. The dense line tables on the same paths — the
 //! [`LineAccessIndex`], the line origins and the [`LineMapper`] of every
-//! full and incremental relink — must answer every query exactly as the
-//! map-based references in [`map_ref`](crate::map_ref) do, including
-//! lines outside the layout and positions past the trace end. The ideal
-//! run's [`IdealOutcomes`] must score every decision of an LRU run, and a
+//! plan's relink — must answer every query exactly as the map-based
+//! references in [`map_ref`](crate::map_ref) do, including lines outside
+//! the layout and positions past the trace end. The ideal run's
+//! [`IdealOutcomes`] must score every decision of an LRU run, and a
 //! decision at and just before every access, as the map-based
 //! [`GapRule`] does: exactly without a prefetcher, and never accurate
-//! where the gap rule is not with one. A subset
-//! of cases additionally runs the full
-//! pipeline at 1 and 4 harness threads and demands an identical
-//! [`RippleOutcome`], then evaluates three thresholds (the strictest
-//! usually with an empty plan) through one shared `EvalBaseline` and
-//! demands the outcomes of fresh per-threshold evaluations.
+//! where the gap rule is not with one. A subset of cases additionally
+//! runs the full pipeline at 1 and 4 harness threads and demands an
+//! identical [`RippleOutcome`], then evaluates three thresholds (the
+//! strictest usually with an empty plan) through one shared
+//! `EvalBaseline` and demands the outcomes of fresh per-threshold
+//! evaluations.
 //!
 //! [`RippleOutcome`]: ripple::RippleOutcome
 
@@ -29,8 +27,8 @@ use rand::{Rng, SeedableRng, StdRng};
 use ripple::{analyze_windows, AnalysisConfig, IdealOutcomes, LineAccessIndex, WindowSink};
 use ripple::{Ripple, RippleConfig};
 use ripple_program::{
-    line_origins, rewrite, rewrite_incremental, BlockId, CodeLoc, Injection, InjectionPlan, Layout,
-    LayoutConfig, LineAddr, LineMapper, Program,
+    line_origins, rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig,
+    LineAddr, LineMapper, Program,
 };
 use ripple_sim::{
     ideal_policy_for, CacheGeometry, EvictionEvent, EvictionMechanism, EvictionSink, PolicyKind,
@@ -43,9 +41,7 @@ use crate::map_ref::{analyze_windows_reference, map_mapper, map_origins, GapRule
 use crate::shrink::{min_failing_prefix, shrink_list};
 
 /// One generated relinking case: a program, its profiled layout, a trace,
-/// and a chain of injection plans (each a mutation of its predecessor, so
-/// consecutive plans share clean functions — the splice path — while
-/// still dirtying a few).
+/// and a chain of injection plans, each a mutation of its predecessor.
 struct RewriteCase {
     label: String,
     program: Program,
@@ -121,45 +117,20 @@ fn gen_case(seed: u64) -> RewriteCase {
     }
 }
 
-/// Incremental-vs-full relink over the case's plan chain. The incremental
-/// result is carried forward, so later rounds splice from a layout that
-/// was itself produced incrementally — divergence compounds instead of
-/// being masked.
+/// Every plan of the case relinked with [`rewrite`]: its layout against a
+/// fresh [`Layout::new`] of the relinked program, and its dense
+/// [`LineMapper`] against the map-based reference.
 fn rewrite_violation(case: &RewriteCase) -> Option<String> {
-    let first = to_plan(&case.plans[0]);
-    let mut prev_plan = first.clone();
-    let mut prev = rewrite(&case.program, &case.layout, &first);
-    if let Some(message) = mapper_violation(case, &prev.mapper, &prev.layout) {
-        return Some(format!("round 0 full relink: {message}"));
-    }
-    for (round, injections) in case.plans.iter().enumerate().skip(1) {
-        let plan = to_plan(injections);
-        let full = rewrite(&case.program, &case.layout, &plan);
-        let incr = rewrite_incremental(&case.program, &case.layout, &plan, &prev_plan, prev);
-        for (kind, rewritten) in [("full", &full), ("incremental", &incr)] {
-            if let Some(message) = mapper_violation(case, &rewritten.mapper, &rewritten.layout) {
-                return Some(format!("round {round} {kind} relink: {message}"));
-            }
-        }
-        if incr.layout != full.layout {
+    case.plans.iter().enumerate().find_map(|(i, injections)| {
+        let rewritten = rewrite(&case.program, &case.layout, &to_plan(injections));
+        if rewritten.layout != Layout::new(&rewritten.program, case.layout.config()) {
             return Some(format!(
-                "incremental relink diverged from full rewrite at round {round}: layouts differ"
+                "plan {i} relink: layout differs from a fresh layout of the relinked program"
             ));
         }
-        if incr.program != full.program {
-            return Some(format!(
-                "incremental relink diverged from full rewrite at round {round}: programs differ"
-            ));
-        }
-        if incr.mapper != full.mapper {
-            return Some(format!(
-                "incremental relink diverged from full rewrite at round {round}: mappers differ"
-            ));
-        }
-        prev_plan = plan;
-        prev = incr;
-    }
-    None
+        mapper_violation(case, &rewritten.mapper, &rewritten.layout)
+            .map(|message| format!("plan {i} relink: {message}"))
+    })
 }
 
 /// Lines to query a dense line table with: every line of the layout, two
@@ -376,8 +347,8 @@ fn analysis_violation(case: &RewriteCase) -> Option<String> {
 }
 
 /// Full-pipeline probe: train once, evaluate at 1 and 4 harness threads;
-/// the outcomes (which flow through incremental relinking, columnar
-/// replay, and dense analysis) must be identical. Then the shared-baseline
+/// the outcomes (which flow through relinking, columnar replay, and
+/// dense analysis) must be identical. Then the shared-baseline
 /// probe runs on the same configuration.
 fn outcome_violation(case: &RewriteCase) -> Option<String> {
     let mut base = RippleConfig::default();
@@ -446,13 +417,13 @@ fn shared_baseline_violation(case: &RewriteCase, config: RippleConfig) -> Option
     None
 }
 
-/// Checks one generated case; shrinks the failing plan chain (rewrite
+/// Checks one generated case; shrinks the failing plans (mapper
 /// divergence) or the trace (analysis divergence) on failure.
 pub fn check(seed: u64) -> Result<(), (String, String)> {
     let case = gen_case(seed);
     if let Some(message) = rewrite_violation(&case) {
-        // Shrink each plan in the chain, last (the diverging rewrite's
-        // target) first, keeping the chain failing throughout.
+        // Shrink each plan, last first, keeping the case failing
+        // throughout.
         let mut minimal = case;
         for i in (0..minimal.plans.len()).rev() {
             let plan = minimal.plans[i].clone();
@@ -487,7 +458,7 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
         }
         let final_message = rewrite_violation(&minimal).expect("shrunk case still fails");
         let repro = format!(
-            "case: {}\nplan chain shrunk to {:?}\nplans: {:?}\n{final_message}",
+            "case: {}\nplans shrunk to {:?}\nplans: {:?}\n{final_message}",
             minimal.label,
             minimal.plans.iter().map(Vec::len).collect::<Vec<_>>(),
             minimal.plans,

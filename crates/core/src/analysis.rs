@@ -50,12 +50,22 @@ pub struct EvictionWindow {
 pub struct WindowSink {
     windows: Vec<EvictionWindow>,
     misses: Vec<(LineAddr, u64)>,
+    drop_misses: bool,
 }
 
 impl WindowSink {
     /// Creates an empty sink.
     pub fn new() -> Self {
         WindowSink::default()
+    }
+
+    /// An empty sink that keeps no demand misses, for an oracle run whose
+    /// misses nothing scores.
+    pub(crate) fn without_misses() -> Self {
+        WindowSink {
+            drop_misses: true,
+            ..WindowSink::default()
+        }
     }
 
     /// The usable windows collected so far.
@@ -88,7 +98,9 @@ impl EvictionSink for WindowSink {
     }
 
     fn demand_miss(&mut self, line: LineAddr, pos: u64) {
-        self.misses.push((line, pos));
+        if !self.drop_misses {
+            self.misses.push((line, pos));
+        }
     }
 }
 

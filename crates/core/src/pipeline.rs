@@ -6,8 +6,7 @@ use std::sync::Arc;
 
 use ripple_obs::{time_phase, NullRecorder, Recorder};
 use ripple_program::{
-    patch_invalidates, rewrite, rewrite_incremental, BlockId, InjectionPlan, Layout, LineAddr,
-    Program, Rewritten,
+    patch_invalidates, rewrite, BlockId, InjectionPlan, Layout, LineAddr, Program, Rewritten,
 };
 use ripple_sim::{
     ideal_policy_for, EvictionMechanism, PolicyKind, SimConfig, SimSession, SimStats,
@@ -31,14 +30,13 @@ pub struct RippleConfig {
     /// The underlying hardware replacement policy Ripple assists
     /// (Ripple-LRU or Ripple-Random in the paper).
     pub underlying: PolicyKind,
-    /// How the injected instruction acts on the cache.
-    pub mechanism: EvictionMechanism,
     /// Re-run the eviction analysis against the *final* (post-injection)
     /// layout and patch victim operands in place (the paper's link-time
     /// flow). Disable only for the ablation measuring how stale a
     /// pre-injection profile becomes.
     pub final_layout_analysis: bool,
-    /// Simulator configuration (prefetcher, geometry, latencies).
+    /// Simulator configuration (prefetcher, geometry, latencies, and how
+    /// the injected instruction acts on the cache).
     pub sim: SimConfig,
     /// Worker threads for the evaluation harness. Both `None` and
     /// `Some(0)` mean auto-detect (the machine's available parallelism);
@@ -53,7 +51,6 @@ impl Default for RippleConfig {
             threshold: 0.5,
             analysis: AnalysisConfig::default(),
             underlying: PolicyKind::LRU,
-            mechanism: EvictionMechanism::Invalidate,
             final_layout_analysis: true,
             sim: SimConfig::default(),
             threads: None,
@@ -156,12 +153,6 @@ impl RippleConfigBuilder {
     /// Sets the underlying hardware replacement policy.
     pub fn underlying(mut self, underlying: PolicyKind) -> Self {
         self.config.underlying = underlying;
-        self
-    }
-
-    /// Sets how injected instructions act on the cache.
-    pub fn mechanism(mut self, mechanism: EvictionMechanism) -> Self {
-        self.config.mechanism = mechanism;
         self
     }
 
@@ -295,7 +286,7 @@ impl<'p> Ripple<'p> {
     ) -> Result<Self, Error> {
         config.validate()?;
         let oracle_cfg = config.sim.clone().with_policy(config.analysis_oracle());
-        let mut windows = WindowSink::new();
+        let mut windows = WindowSink::without_misses();
         let _ = time_phase(&*recorder, "train.oracle_replay", || {
             let session = SimSession::new(program, layout, train_trace, oracle_cfg.clone())
                 .with_recorder(recorder.clone());
@@ -429,10 +420,11 @@ impl<'p> Ripple<'p> {
     ///
     /// Each stage's output is a function of the plan it was given, so the
     /// stages run once per distinct plan, not once per threshold: one
-    /// relink and round-0 analysis per training plan, one incremental
-    /// relink and round-1 analysis per round-1 plan under it, and one
-    /// patch, run and scoring per final plan under that. Thresholds that
-    /// agree on a training plan are counted in `eval.plans_shared`.
+    /// relink and round-0 analysis per training plan, one relink of the
+    /// pristine program and round-1 analysis per round-1 plan under it,
+    /// and one patch, run and scoring per final plan under that.
+    /// Thresholds that agree on a training plan are counted in
+    /// `eval.plans_shared`.
     ///
     /// An empty plan relinks to the very binary the baseline measured, so
     /// it skips the relink and the rewritten run: its Ripple run *is* the
@@ -478,8 +470,7 @@ impl<'p> Ripple<'p> {
                     })
                 });
                 if self.config.final_layout_analysis && !plan.is_empty() {
-                    staged
-                        .extend(self.fixpoint(eval_trace, thresholds, plan, &members, rewritten)?);
+                    staged.extend(self.fixpoint(eval_trace, thresholds, &members, rewritten)?);
                     continue;
                 }
                 let ripple = self.run_linked(&rewritten.program, &rewritten.layout, eval_trace)?;
@@ -531,57 +522,43 @@ impl<'p> Ripple<'p> {
     }
 
     /// The layout fixpoint for the thresholds `members`, whose training
-    /// plan `plan` was linked as `rewritten`. Victims are expressed as
+    /// plan was linked as `rewritten`. Victims are expressed as
     /// layout-independent `CodeLoc`s, so a plan derived against one layout
     /// can be re-applied to the pristine program. Round 0 re-runs the
     /// oracle on the linked layout and re-places the slots; round 1
-    /// relinks only the functions whose injected prefixes changed, re-runs
-    /// the oracle, and assigns victims to the frozen slots. By then the
-    /// plan's own layout is (very nearly) the layout it was derived
-    /// against, and patching operands in place closes the residual.
+    /// relinks the pristine program with each round-1 plan, re-runs the
+    /// oracle, and assigns victims to the frozen slots. By then the plan's
+    /// own layout is (very nearly) the layout it was derived against, and
+    /// patching operands in place closes the residual.
     fn fixpoint(
         &self,
         eval_trace: &BbTrace,
         thresholds: &[f64],
-        plan: &InjectionPlan,
         members: &[usize],
         rewritten: Rewritten,
     ) -> Result<Vec<Staged>, Error> {
-        // The round-0 analysis is dropped as soon as every round-1 plan
-        // is known.
+        // The round-0 binary and analysis are dropped as soon as every
+        // round-1 plan is known.
         let slot_plans = time_phase(&*self.recorder, "eval.final_layout", || {
-            let (analysis, _) = self.analyze_linked(&rewritten, eval_trace);
+            let (analysis, _) =
+                self.analyze_linked(&rewritten, eval_trace, WindowSink::without_misses());
             members
                 .iter()
                 .map(|&i| analysis.plan_for_threshold(thresholds[i]).0)
                 .collect()
         });
+        drop(rewritten);
         let (slot_plans, slot_plan_of) = distinct_plans(slot_plans);
         let mut staged = Vec::with_capacity(members.len());
-        // Every round-1 plan but the last relinks from a copy of the
-        // round-0 binary; the last takes the binary itself.
-        let Some((last, others)) = slot_plans.split_last() else {
-            return Ok(staged);
-        };
-        for (k, slot_plan) in others.iter().enumerate() {
+        for (k, slot_plan) in slot_plans.iter().enumerate() {
             let group = members_of(k, &slot_plan_of, members.iter().copied());
-            staged.extend(self.final_round(
-                eval_trace,
-                thresholds,
-                &group,
-                plan,
-                slot_plan,
-                rewritten.clone(),
-            )?);
+            staged.extend(self.final_round(eval_trace, thresholds, &group, slot_plan)?);
         }
-        let group = members_of(others.len(), &slot_plan_of, members.iter().copied());
-        staged.extend(self.final_round(eval_trace, thresholds, &group, plan, last, rewritten)?);
         Ok(staged)
     }
 
     /// The fixpoint's final round for the thresholds `members`, whose
-    /// round-1 plan is `slot_plan` (`prev` being linked with their
-    /// training plan `plan`). The layout is frozen after this
+    /// round-1 plan is `slot_plan`. The layout is frozen after this
     /// relink: each threshold selects cues *subject to* the reserved slot
     /// budget (each window picks an eligible cue that still has a free
     /// slot), and each distinct selection is patched in and run.
@@ -590,16 +567,14 @@ impl<'p> Ripple<'p> {
         eval_trace: &BbTrace,
         thresholds: &[f64],
         members: &[usize],
-        plan: &InjectionPlan,
         slot_plan: &InjectionPlan,
-        prev: Rewritten,
     ) -> Result<Vec<Staged>, Error> {
         let recorder = &*self.recorder;
         let (linked, misses, finals) = time_phase(recorder, "eval.final_layout", || {
             let linked = time_phase(recorder, "eval.relink", || {
-                rewrite_incremental(self.program, self.layout, slot_plan, plan, prev)
+                rewrite(self.program, self.layout, slot_plan)
             });
-            let (analysis, misses) = self.analyze_linked(&linked, eval_trace);
+            let (analysis, misses) = self.analyze_linked(&linked, eval_trace, WindowSink::new());
             let finals: Vec<_> = time_phase(recorder, "eval.patch", || {
                 // The slot plan is what the binary was linked with: one
                 // slot per injection at its cue, with no scan over every
@@ -671,13 +646,14 @@ impl<'p> Ripple<'p> {
             .collect())
     }
 
-    /// Replays the analysis oracle over a linked binary and analyzes its
-    /// eviction windows, returning the analysis and the run's demand
-    /// misses.
+    /// Replays the analysis oracle over a linked binary into `windows` and
+    /// analyzes the eviction windows it kept, returning the analysis and
+    /// the run's demand misses (none when `windows` drops them).
     fn analyze_linked(
         &self,
         linked: &Rewritten,
         eval_trace: &BbTrace,
+        mut windows: WindowSink,
     ) -> (Analysis, Vec<(LineAddr, u64)>) {
         let mut oracle_cfg = self
             .config
@@ -685,7 +661,6 @@ impl<'p> Ripple<'p> {
             .clone()
             .with_policy(self.config.analysis_oracle());
         oracle_cfg.eviction_mechanism = EvictionMechanism::NoOp;
-        let mut windows = WindowSink::new();
         time_phase(&*self.recorder, "eval.oracle_replay", || {
             let session = SimSession::new(
                 &linked.program,
@@ -709,16 +684,15 @@ impl<'p> Ripple<'p> {
         (analysis, misses)
     }
 
-    /// Runs a linked binary under the underlying policy and the configured
-    /// mechanism, timed as `eval.sim_runs`.
+    /// Runs a linked binary under the underlying policy and the sim
+    /// config's eviction mechanism, timed as `eval.sim_runs`.
     fn run_linked(
         &self,
         program: &Program,
         layout: &Layout,
         eval_trace: &BbTrace,
     ) -> Result<SimStats, Error> {
-        let mut under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
-        under_cfg.eviction_mechanism = self.config.mechanism;
+        let under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
         let session = SimSession::new(program, layout, eval_trace, under_cfg)
             .with_recorder(self.recorder.clone());
         let underlying = self.config.underlying;
@@ -829,6 +803,24 @@ mod tests {
         assert!(outcome.dynamic_overhead_pct > 0.0);
         // The performance guarantee on calibrated workloads is asserted by
         // the integration tests; the tiny app only checks plumbing.
+    }
+
+    #[test]
+    fn the_ripple_run_uses_the_sim_configs_eviction_mechanism() {
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 60_000);
+        let run = |mechanism| {
+            let mut cfg = small_config();
+            cfg.sim.eviction_mechanism = mechanism;
+            let ripple = Ripple::train(&app.program, &layout, &trace, cfg).unwrap();
+            let o = ripple.evaluate(&trace).unwrap();
+            assert!(o.injected_static > 0, "{mechanism:?}: nothing injected");
+            assert!(o.ripple.invalidate_instructions > 0, "{mechanism:?}");
+            o.ripple.invalidate_hits
+        };
+        assert!(run(EvictionMechanism::Invalidate) > 0);
+        assert_eq!(run(EvictionMechanism::NoOp), 0, "a no-op evicted a line");
     }
 
     #[test]

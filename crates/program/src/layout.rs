@@ -9,7 +9,8 @@
 //! layouts by a [`LineMapper`](crate::LineMapper).
 
 use crate::addr::{lines_spanning, Addr, LineAddr, LineSpan};
-use crate::ids::{BlockId, CodeLoc, FuncId};
+use crate::block::BasicBlock;
+use crate::ids::{BlockId, CodeLoc};
 use crate::program::Program;
 
 /// Linker parameters.
@@ -127,6 +128,19 @@ impl Layout {
     /// blocks are packed back-to-back inside each function, mirroring how a
     /// real linker emits a text section.
     pub fn new(program: &Program, config: &LayoutConfig) -> Self {
+        Self::place(program, config, |block| {
+            (block.size_bytes(), block.injected_prefix_bytes())
+        })
+    }
+
+    /// [`Layout::new`] with each block's encoded size and injected-prefix
+    /// bytes taken from `measure`, which may read them from an earlier
+    /// layout of the same blocks instead of summing their instructions.
+    pub(crate) fn place(
+        program: &Program,
+        config: &LayoutConfig,
+        mut measure: impl FnMut(&BasicBlock) -> (u32, u32),
+    ) -> Self {
         let mut block_addr = vec![Addr::new(0); program.num_blocks()];
         let mut block_size = vec![0u32; program.num_blocks()];
         let mut block_prefix = vec![0u32; program.num_blocks()];
@@ -135,11 +149,10 @@ impl Layout {
         for func in program.functions() {
             cursor = cursor.align_up(config.function_align);
             for &bid in func.blocks() {
-                let block = program.block(bid);
-                let size = block.size_bytes();
+                let (size, prefix) = measure(program.block(bid));
                 block_addr[bid.index()] = cursor;
                 block_size[bid.index()] = size;
-                block_prefix[bid.index()] = block.injected_prefix_bytes();
+                block_prefix[bid.index()] = prefix;
                 visited.push(bid.index() as u32);
                 cursor = cursor.wrapping_add(u64::from(size));
             }
@@ -155,65 +168,9 @@ impl Layout {
         }
     }
 
-    /// Incremental relink: lays out `program` by splicing unchanged
-    /// per-function spans from `prev` and re-laying-out only the functions
-    /// for which `dirty` returns true.
-    ///
-    /// `prev` must be a layout of the same program modulo edits confined to
-    /// dirty functions (same function set, same block ids, clean functions'
-    /// blocks byte-identical). Clean functions are copied from `prev` —
-    /// shifted wholesale when an earlier dirty function changed size —
-    /// without re-measuring their blocks; dirty functions are re-measured
-    /// exactly as [`Layout::new`] would. The result is byte-identical to a
-    /// from-scratch `Layout::new(program, prev.config())`.
-    pub fn new_incremental(
-        program: &Program,
-        prev: &Layout,
-        mut dirty: impl FnMut(FuncId) -> bool,
-    ) -> Self {
-        let mut block_addr = prev.block_addr.clone();
-        let mut block_size = prev.block_size.clone();
-        let mut block_prefix = prev.block_prefix.clone();
-        let mut visited = Vec::with_capacity(block_addr.len());
-        let mut cursor = prev.config.base_addr;
-        for func in program.functions() {
-            cursor = cursor.align_up(prev.config.function_align);
-            let blocks = func.blocks();
-            let (Some(&first), Some(&last)) = (blocks.first(), blocks.last()) else {
-                continue;
-            };
-            visited.extend(blocks.iter().map(|b| b.index() as u32));
-            if dirty(func.id()) {
-                for &bid in blocks {
-                    let block = program.block(bid);
-                    let size = block.size_bytes();
-                    block_addr[bid.index()] = cursor;
-                    block_size[bid.index()] = size;
-                    block_prefix[bid.index()] = block.injected_prefix_bytes();
-                    cursor = cursor.wrapping_add(u64::from(size));
-                }
-            } else {
-                let delta = cursor
-                    .get()
-                    .wrapping_sub(prev.block_addr[first.index()].get());
-                if delta != 0 {
-                    for &bid in blocks {
-                        block_addr[bid.index()] =
-                            Addr::new(prev.block_addr[bid.index()].get().wrapping_add(delta));
-                    }
-                }
-                cursor = block_addr[last.index()].wrapping_add(u64::from(block_size[last.index()]));
-            }
-        }
-        Layout {
-            config: prev.config,
-            by_addr: address_order(&block_addr, visited),
-            lines: line_range(&block_addr, &block_size),
-            block_addr,
-            block_size,
-            block_prefix,
-            end: cursor,
-        }
+    /// Bytes of `id`'s injected prefix in this layout.
+    pub(crate) fn prefix_bytes(&self, id: BlockId) -> u32 {
+        self.block_prefix[id.index()]
     }
 
     /// The configuration this layout was produced with.
@@ -363,7 +320,7 @@ fn line_range(block_addr: &[Addr], block_size: &[u32]) -> LineRange {
     }
 }
 
-/// Block indices in ascending address order, from the order a constructor
+/// Block indices in ascending address order, from the order `Layout::place`
 /// `visited` them in. The layout cursor only grows, so that order is
 /// already sorted unless the text segment wrapped the address space or a
 /// block belongs to no function; only then does this sort.

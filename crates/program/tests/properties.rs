@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use ripple_program::{
-    lines_spanning, rewrite, rewrite_incremental, Addr, BlockId, CodeKind, CodeLoc, Injection,
-    InjectionPlan, Instruction, Layout, LayoutConfig, LineAddr, LineMapper, Program,
-    ProgramBuilder, CACHE_LINE_BYTES,
+    lines_spanning, rewrite, Addr, BlockId, CodeKind, CodeLoc, Injection, InjectionPlan,
+    Instruction, Layout, LayoutConfig, LineAddr, LineMapper, Program, ProgramBuilder,
+    CACHE_LINE_BYTES,
 };
 
 /// A plan injecting at `picks` (cue, victim) block indices, reduced modulo
@@ -133,9 +133,8 @@ proptest! {
     }
 
     /// `loc_of_addr`'s binary search agrees with a linear scan over every
-    /// block, on the original layout, a rewritten one, and one relinked
-    /// incrementally from it. (The builder rejects empty blocks, so no
-    /// layout has zero-size blocks.)
+    /// block, on the original layout and two rewritten ones. (The builder
+    /// rejects empty blocks, so no layout has zero-size blocks.)
     #[test]
     fn loc_of_addr_matches_a_linear_scan(
         program in arb_program(),
@@ -149,13 +148,13 @@ proptest! {
         let rewritten = rewrite(&program, &layout, &first);
         assert_loc_of_addr_matches_scan(&rewritten.layout, n);
         let second = plan_of(&program, &second);
-        let relinked = rewrite_incremental(&program, &layout, &second, &first, rewritten);
+        let relinked = rewrite(&program, &layout, &second);
         assert_loc_of_addr_matches_scan(&relinked.layout, n);
     }
 
     /// The line bounds a layout stores equal a fresh scan of its blocks,
-    /// on the original layout, a rewritten one, and one relinked
-    /// incrementally from it; the line range covers exactly those lines.
+    /// on the original layout and two rewritten ones; the line range
+    /// covers exactly those lines.
     #[test]
     fn stored_line_bounds_match_a_block_scan(
         program in arb_program(),
@@ -167,8 +166,7 @@ proptest! {
         let first = plan_of(&program, &first);
         let rewritten = rewrite(&program, &layout, &first);
         let second = plan_of(&program, &second);
-        let relinked =
-            rewrite_incremental(&program, &layout, &second, &first, rewritten.clone());
+        let relinked = rewrite(&program, &layout, &second);
         for l in [&layout, &rewritten.layout, &relinked.layout] {
             let bounds = line_bounds_by_scan(l, n);
             prop_assert_eq!(l.line_bounds(), bounds);
@@ -204,8 +202,10 @@ proptest! {
     }
 
     /// Rewriting with an arbitrary plan preserves the original instruction
-    /// stream, keeps the program valid, and the line mapper tracks every
-    /// victim line to the line holding the same first code byte.
+    /// stream, keeps the program valid, lays the result out as a fresh
+    /// `Layout::new` would (also when rewriting a rewritten program), and
+    /// the line mapper tracks every victim line to the line holding the
+    /// same first code byte.
     #[test]
     fn rewrite_preserves_code(
         program in arb_program(),
@@ -214,6 +214,10 @@ proptest! {
         let layout = Layout::new(&program, &LayoutConfig::default());
         let plan = plan_of(&program, &picks);
         let rw = rewrite(&program, &layout, &plan);
+        prop_assert!(rw.layout == Layout::new(&rw.program, layout.config()));
+        let rest = plan_of(&program, picks.get(1..).unwrap_or_default());
+        let again = rewrite(&rw.program, &rw.layout, &rest);
+        prop_assert!(again.layout == Layout::new(&again.program, layout.config()));
         prop_assert!(rw.program.validate().is_ok());
         prop_assert_eq!(rw.program.injected_instruction_count(), plan.len() as u64);
         for (old, new) in program.blocks().iter().zip(rw.program.blocks()) {

@@ -12,8 +12,8 @@ use std::cell::Cell;
 use std::collections::HashMap;
 
 use ripple_program::{
-    patch_invalidates, rewrite, rewrite_incremental, BlockId, CodeLoc, Injection, InjectionPlan,
-    Layout, LayoutConfig, LineAddr, Program,
+    patch_invalidates, rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig,
+    LineAddr, Program,
 };
 use ripple_workloads::{generate, App};
 
@@ -127,20 +127,23 @@ fn relinking_never_writes_through_to_the_original_program() {
     let first = rewrite(program, &layout, &plan);
     // The next round keeps half the cues, moves the others' victims and
     // adds fresh cues; the first round's relink stays alive alongside it
-    // and shares its untouched storage.
+    // and shares the original's untouched storage.
     let mut next: InjectionPlan = plan.injections()[..24].iter().copied().collect();
     next.extend(plan.injections()[24..].iter().map(|inj| Injection {
         cue: inj.cue,
         victim: CodeLoc::new(inj.victim.block, 1),
     }));
     next.extend(plan_of(program, 16, 11).injections().iter().copied());
-    let mut second = rewrite_incremental(program, &layout, &next, &plan, first.clone());
+    let second = rewrite(program, &layout, &next);
+    // Patching a clone of the second relink, which shares all its
+    // storage, leaves the relink itself untouched.
+    let mut patched = second.program.clone();
     let assignments: HashMap<BlockId, Vec<LineAddr>> = next
         .injections()
         .iter()
         .map(|inj| (inj.cue, vec![LineAddr::new(inj.cue.index() as u64)]))
         .collect();
-    patch_invalidates(&mut second.program, &assignments);
+    patch_invalidates(&mut patched, &assignments);
 
     let fresh = generate(&App::FinagleChirper.spec()).program;
     assert_eq!(program.num_blocks(), fresh.num_blocks());
@@ -148,7 +151,9 @@ fn relinking_never_writes_through_to_the_original_program() {
         assert_eq!(orig, gen, "block {} changed under relinking", orig.id());
     }
     assert_eq!(program, &fresh);
-    // The first round's relink is untouched by the second round's edits.
+    // Neither relink is touched by the other or by the patch.
     assert_eq!(first.program, rewrite(program, &layout, &plan).program);
+    assert_eq!(second.program, rewrite(program, &layout, &next).program);
     assert_ne!(first.program, second.program);
+    assert_ne!(second.program, patched);
 }

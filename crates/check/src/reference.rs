@@ -34,8 +34,8 @@ use ripple_trace::BbTrace;
 /// parameter, restated here).
 const PREFETCH_FILTER: usize = 32;
 
-/// Simulates `trace` under `policy` (overriding `config.policy`),
-/// streaming every L1I eviction into `sink`.
+/// Simulates `trace` under `policy`, streaming every L1I eviction into
+/// `sink`.
 pub fn run(
     program: &Program,
     layout: &Layout,
@@ -44,24 +44,23 @@ pub fn run(
     policy: PolicyKind,
     sink: &mut dyn EvictionSink,
 ) -> SimStats {
-    let cfg = config.clone().with_policy(policy);
     let l1i_policy = if policy.is_offline_ideal() {
         // The recording policy is irrelevant to the captured stream; LRU
         // is the cheapest throwaway.
         let (_, stream) = ReferenceFrontend::new(
             program,
             layout,
-            &cfg,
-            Box::new(LruPolicy::new(cfg.l1i)),
+            config,
+            Box::new(LruPolicy::new(config.l1i)),
             true,
             &mut ripple_sim::NullSink,
         )
         .run(trace.iter());
-        build_ideal_policy(policy, cfg.l1i, FutureIndex::build(&stream))
+        build_ideal_policy(policy, config.l1i, FutureIndex::build(&stream))
     } else {
-        build_policy(&cfg)
+        build_policy(policy, config)
     };
-    ReferenceFrontend::new(program, layout, &cfg, l1i_policy, false, sink)
+    ReferenceFrontend::new(program, layout, config, l1i_policy, false, sink)
         .run(trace.iter())
         .0
 }

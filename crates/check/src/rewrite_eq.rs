@@ -17,9 +17,9 @@
 //! where the gap rule is not with one. A subset of cases additionally
 //! runs the full pipeline at 1 and 4 harness threads and demands an
 //! identical [`RippleOutcome`], then evaluates three thresholds (the
-//! strictest usually with an empty plan) through one shared
-//! `EvalBaseline` and demands the outcomes of fresh per-threshold
-//! evaluations.
+//! strictest usually with an empty plan) of a Ripple-LRU and a
+//! Ripple-Random through one shared `EvalBaseline` and demands the
+//! outcomes of fresh per-threshold evaluations.
 //!
 //! [`RippleOutcome`]: ripple::RippleOutcome
 
@@ -382,12 +382,24 @@ fn outcome_violation(case: &RewriteCase) -> Option<String> {
 /// is the reference). The strictest, 1.0, comes first: only cues that
 /// always precede their eviction pass it, so its plan is usually empty
 /// and reaches the baseline's lazily built state first.
+///
+/// As in the lab, one baseline serves every underlying policy: the
+/// Ripple-LRU optimizer builds it, and a Ripple-Random trained on the
+/// same case is evaluated against it too. The second underlying is fixed,
+/// not drawn, so the case corpus does not depend on it.
 fn shared_baseline_violation(case: &RewriteCase, config: RippleConfig) -> Option<String> {
-    let ripple = match Ripple::train(&case.program, &case.layout, &case.trace, config) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("train failed: {e}")),
+    let train = |underlying| {
+        let config = RippleConfig {
+            underlying,
+            ..config.clone()
+        };
+        Ripple::train(&case.program, &case.layout, &case.trace, config)
     };
-    let baseline = match ripple.baseline(&case.trace) {
+    let (lru, random) = match (train(PolicyKind::LRU), train(PolicyKind::RANDOM)) {
+        (Ok(lru), Ok(random)) => (lru, random),
+        (Err(e), _) | (_, Err(e)) => return Some(format!("train failed: {e}")),
+    };
+    let baseline = match lru.baseline(&case.trace) {
         Ok(b) => b,
         Err(e) => return Some(format!("baseline failed: {e}")),
     };
@@ -397,22 +409,27 @@ fn shared_baseline_violation(case: &RewriteCase, config: RippleConfig) -> Option
         case.threshold.min(0.3) / 2.0,
         case.threshold,
     ];
-    let mut fresh = Vec::new();
-    for &threshold in &thresholds[..3] {
-        let shared = ripple.evaluate_on(&baseline, threshold);
-        let single = ripple.evaluate_with_threshold(&case.trace, threshold);
-        if shared != single {
+    for ripple in [&lru, &random] {
+        let name = ripple.config().underlying.name();
+        let mut fresh = Vec::new();
+        for &threshold in &thresholds[..3] {
+            let shared = ripple.evaluate_on(&baseline, threshold);
+            let single = ripple.evaluate_with_threshold(&case.trace, threshold);
+            if shared != single {
+                return Some(format!(
+                    "Ripple-{name}: shared-baseline outcome differs from a fresh evaluation \
+                     at threshold {threshold}"
+                ));
+            }
+            fresh.push(single);
+        }
+        fresh.push(fresh[1].clone());
+        if ripple.evaluate_thresholds(&baseline, &thresholds) != fresh.into_iter().collect() {
             return Some(format!(
-                "shared-baseline outcome differs from a fresh evaluation at threshold {threshold}"
+                "Ripple-{name}: threshold list {thresholds:?} differs from fresh \
+                 single-threshold evaluations"
             ));
         }
-        fresh.push(single);
-    }
-    fresh.push(fresh[1].clone());
-    if ripple.evaluate_thresholds(&baseline, &thresholds) != fresh.into_iter().collect() {
-        return Some(format!(
-            "threshold list {thresholds:?} differs from fresh single-threshold evaluations"
-        ));
     }
     None
 }

@@ -158,9 +158,13 @@ fn scripted_invalidations_match_reference() {
     let trace = execute(&app.program, &app.model, InputConfig::training(7), 30_000);
 
     // Record the OPT eviction schedule once, then script it.
-    let opt_cfg = small_cfg(PrefetcherKind::None).with_policy(PolicyKind::OPT);
     let mut sink = VecSink::new();
-    let session = SimSession::new(&app.program, &layout, &trace, opt_cfg);
+    let session = SimSession::new(
+        &app.program,
+        &layout,
+        &trace,
+        small_cfg(PrefetcherKind::None),
+    );
     session.run_with_sink(PolicyKind::OPT, &mut sink);
     let mut script: Vec<(u64, ripple_program::LineAddr)> = sink
         .events()
@@ -193,9 +197,13 @@ fn scripted_invalidations_with_warmup_match_reference() {
     let layout = Layout::new(&app.program, &LayoutConfig::default());
     let trace = execute(&app.program, &app.model, InputConfig::training(7), 30_000);
 
-    let opt_cfg = small_cfg(PrefetcherKind::None).with_policy(PolicyKind::OPT);
     let mut sink = VecSink::new();
-    let session = SimSession::new(&app.program, &layout, &trace, opt_cfg);
+    let session = SimSession::new(
+        &app.program,
+        &layout,
+        &trace,
+        small_cfg(PrefetcherKind::None),
+    );
     session.run_with_sink(PolicyKind::OPT, &mut sink);
     let mut script: Vec<(u64, ripple_program::LineAddr)> = sink
         .events()

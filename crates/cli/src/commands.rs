@@ -850,7 +850,6 @@ fn simulate_cmd(args: &Args) -> CmdResult {
     let wall = std::time::Instant::now();
 
     let cfg = SimConfig::builder()
-        .policy(policy)
         .prefetcher(prefetcher)
         .build()
         .map_err(ripple::Error::from)?;
@@ -1009,10 +1008,6 @@ fn optimize(args: &Args) -> CmdResult {
     let prefetcher = parse_prefetcher(args)?;
     let underlying = parse_policy(args.flag("underlying").unwrap_or("lru"))?;
     let threads = common.threads;
-    let (recorder, metrics) = build_recorder(&common);
-    let wall = std::time::Instant::now();
-    let (app, layout, trace) = load(app_id, training_input(app_id, &common), budget)?;
-
     let config = RippleConfig::builder()
         .threshold(threshold)
         .underlying(underlying)
@@ -1025,6 +1020,9 @@ fn optimize(args: &Args) -> CmdResult {
         )
         .build()
         .map_err(ripple::Error::from)?;
+    let (recorder, metrics) = build_recorder(&common);
+    let wall = std::time::Instant::now();
+    let (app, layout, trace) = load(app_id, training_input(app_id, &common), budget)?;
     let ripple = Ripple::train_with_recorder(&app.program, &layout, &trace, config, recorder)?;
     let o = ripple.evaluate(&trace)?;
 
@@ -1152,6 +1150,25 @@ mod tests {
         let err = run(&["simulate", "tomcat", "--policy", "mru"]).unwrap_err();
         assert!(err.contains("unknown policy \"mru\""), "{err}");
         assert!(err.contains("demand-min"), "{err}");
+    }
+
+    #[test]
+    fn an_offline_ideal_underlying_is_rejected() {
+        for name in ["opt", "demand-min"] {
+            let argv: Vec<String> = ["optimize", "tomcat", "--underlying", name]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = dispatch(&argv).unwrap_err();
+            assert!(
+                matches!(
+                    err.downcast_ref::<ripple::Error>(),
+                    Some(ripple::Error::Config(ripple::ConfigError::OfflineUnderlying { policy }))
+                        if *policy == name
+                ),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -222,7 +222,8 @@ impl<'a> EvalBaseline<'a> {
     }
 
     /// Checks that the baseline was built for this program, layout and
-    /// sim config.
+    /// sim config. The sim config names no replacement policy, so one
+    /// baseline serves every underlying policy.
     pub(crate) fn check_built_for(
         &self,
         program: &Program,

@@ -142,6 +142,12 @@ pub enum ConfigError {
         /// Inclusive upper bound.
         max: f64,
     },
+    /// The underlying policy is an offline ideal: it needs a recorded
+    /// future index, so no hardware could run it under Ripple.
+    OfflineUnderlying {
+        /// The rejected policy's name.
+        policy: &'static str,
+    },
     /// The embedded simulator configuration was rejected.
     Sim(SimConfigError),
 }
@@ -158,6 +164,10 @@ impl std::fmt::Display for ConfigError {
                 min,
                 max,
             } => write!(f, "config field `{field}` = {value} outside [{min}, {max}]"),
+            ConfigError::OfflineUnderlying { policy } => write!(
+                f,
+                "underlying policy `{policy}` is an offline ideal and cannot run under Ripple"
+            ),
             ConfigError::Sim(e) => write!(f, "{e}"),
         }
     }

@@ -8,9 +8,7 @@ use ripple_obs::{time_phase, NullRecorder, Recorder};
 use ripple_program::{
     patch_invalidates, rewrite, BlockId, InjectionPlan, Layout, LineAddr, Program, Rewritten,
 };
-use ripple_sim::{
-    ideal_policy_for, EvictionMechanism, PolicyKind, SimConfig, SimSession, SimStats,
-};
+use ripple_sim::{EvictionMechanism, PolicyKind, SimConfig, SimSession, SimStats};
 use ripple_trace::BbTrace;
 
 use crate::analysis::{analyze_windows, Analysis, AnalysisConfig, CoverageStats, WindowSink};
@@ -28,7 +26,9 @@ pub struct RippleConfig {
     /// Eviction-window scan cap (see [`AnalysisConfig`]).
     pub analysis: AnalysisConfig,
     /// The underlying hardware replacement policy Ripple assists
-    /// (Ripple-LRU or Ripple-Random in the paper).
+    /// (Ripple-LRU or Ripple-Random in the paper): the policy of the
+    /// baseline and Ripple runs. It must be an online policy; an offline
+    /// ideal is rejected by [`RippleConfig::validate`].
     pub underlying: PolicyKind,
     /// Re-run the eviction analysis against the *final* (post-injection)
     /// layout and patch victim operands in place (the paper's link-time
@@ -92,27 +92,23 @@ impl RippleConfig {
             Ok(())
         }
         finite_in("threshold", self.threshold, 0.0, 1.0)?;
+        if self.underlying.needs_future_index() {
+            return Err(ConfigError::OfflineUnderlying {
+                policy: self.underlying.name(),
+            });
+        }
         self.sim.validate().map_err(ConfigError::Sim)?;
         Ok(())
     }
-
-    /// The ideal policy reported as the "ideal replacement" upper bound:
-    /// prefetch-aware Demand-MIN whenever a prefetcher is active, plain
-    /// Belady-OPT otherwise (§II-C).
-    pub fn oracle(&self) -> PolicyKind {
-        ideal_policy_for(self.sim.prefetcher)
-    }
-
-    /// The oracle driving Ripple's *eviction analysis*: always Belady-OPT
-    /// on demand accesses (§III-B: "mimic an ideal policy that would evict
-    /// a line that will be used farthest in the future"). Demand-MIN's
-    /// extra evictions are free only because a future prefetch re-fills
-    /// the line; a software invalidation has no such guarantee, so cueing
-    /// them mostly injects misses.
-    pub fn analysis_oracle(&self) -> PolicyKind {
-        PolicyKind::OPT
-    }
 }
+
+/// The oracle driving Ripple's *eviction analysis*: always Belady-OPT on
+/// demand accesses (§III-B: "mimic an ideal policy that would evict a line
+/// that will be used farthest in the future"). Demand-MIN's extra
+/// evictions are free only because a future prefetch re-fills the line; a
+/// software invalidation has no such guarantee, so cueing them mostly
+/// injects misses.
+const ANALYSIS_ORACLE: PolicyKind = PolicyKind::OPT;
 
 /// Validating builder for [`RippleConfig`].
 ///
@@ -240,9 +236,9 @@ impl RippleOutcome {
 /// A reusable Ripple optimizer bound to one program + profiled layout.
 ///
 /// Split from [`RippleOutcome`] so callers can run the (expensive)
-/// analysis once and then evaluate several thresholds, mechanisms or
-/// underlying policies — exactly what the paper's threshold sweep and
-/// ablations need.
+/// analysis once and then evaluate several thresholds and evaluation
+/// traces — exactly what the paper's threshold sweep and Fig. 13's
+/// cross-input study need.
 #[derive(Debug)]
 pub struct Ripple<'p> {
     program: &'p Program,
@@ -285,12 +281,11 @@ impl<'p> Ripple<'p> {
         recorder: Arc<dyn Recorder>,
     ) -> Result<Self, Error> {
         config.validate()?;
-        let oracle_cfg = config.sim.clone().with_policy(config.analysis_oracle());
         let mut windows = WindowSink::without_misses();
         let _ = time_phase(&*recorder, "train.oracle_replay", || {
-            let session = SimSession::new(program, layout, train_trace, oracle_cfg.clone())
+            let session = SimSession::new(program, layout, train_trace, config.sim.clone())
                 .with_recorder(recorder.clone());
-            session.run_with_sink(oracle_cfg.policy, &mut windows)
+            session.run_with_sink(ANALYSIS_ORACLE, &mut windows)
         });
         let analysis = time_phase(&*recorder, "train.cue_selection", || {
             analyze_windows(
@@ -655,21 +650,12 @@ impl<'p> Ripple<'p> {
         eval_trace: &BbTrace,
         mut windows: WindowSink,
     ) -> (Analysis, Vec<(LineAddr, u64)>) {
-        let mut oracle_cfg = self
-            .config
-            .sim
-            .clone()
-            .with_policy(self.config.analysis_oracle());
+        let mut oracle_cfg = self.config.sim.clone();
         oracle_cfg.eviction_mechanism = EvictionMechanism::NoOp;
         time_phase(&*self.recorder, "eval.oracle_replay", || {
-            let session = SimSession::new(
-                &linked.program,
-                &linked.layout,
-                eval_trace,
-                oracle_cfg.clone(),
-            )
-            .with_recorder(self.recorder.clone());
-            let _ = session.run_with_sink(oracle_cfg.policy, &mut windows);
+            let session = SimSession::new(&linked.program, &linked.layout, eval_trace, oracle_cfg)
+                .with_recorder(self.recorder.clone());
+            let _ = session.run_with_sink(ANALYSIS_ORACLE, &mut windows);
         });
         let (windows, misses) = windows.into_parts();
         let analysis = time_phase(&*self.recorder, "eval.window_analysis", || {
@@ -692,8 +678,7 @@ impl<'p> Ripple<'p> {
         layout: &Layout,
         eval_trace: &BbTrace,
     ) -> Result<SimStats, Error> {
-        let under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
-        let session = SimSession::new(program, layout, eval_trace, under_cfg)
+        let session = SimSession::new(program, layout, eval_trace, self.config.sim.clone())
             .with_recorder(self.recorder.clone());
         let underlying = self.config.underlying;
         let job: Job<'_, SimStats> = Box::new(|| session.run(underlying));
@@ -1158,5 +1143,20 @@ mod tests {
             RippleConfig::builder().sim(sim).build(),
             Err(ConfigError::Sim(_))
         ));
+    }
+
+    #[test]
+    fn an_offline_ideal_underlying_is_rejected() {
+        for policy in [PolicyKind::OPT, PolicyKind::DEMAND_MIN] {
+            assert_eq!(
+                RippleConfig::builder().underlying(policy).build(),
+                Err(ConfigError::OfflineUnderlying {
+                    policy: policy.name()
+                }),
+            );
+        }
+        for policy in [PolicyKind::LRU, PolicyKind::RANDOM, PolicyKind::SRRIP] {
+            assert!(RippleConfig::builder().underlying(policy).build().is_ok());
+        }
     }
 }

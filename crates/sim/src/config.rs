@@ -158,10 +158,6 @@ impl PrefetcherKind {
     }
 }
 
-// Which replacement policy manages the L1I (§II-D) is now named by a
-// `PolicyId` from the policy registry — the single source of truth for
-// policy names, families and constructors.
-pub use crate::policy::registry::PolicyKind;
 use crate::policy::TemperatureMap;
 
 /// How an executed `invalidate` instruction acts on the L1I (§IV,
@@ -182,7 +178,9 @@ pub enum EvictionMechanism {
 /// Full simulator configuration.
 ///
 /// Defaults reproduce the paper's Table II: Haswell-class latencies, a
-/// 32 KiB / 8-way L1I, 1 MB / 16-way L2 and 10 MiB / 20-way L3.
+/// 32 KiB / 8-way L1I, 1 MB / 16-way L2 and 10 MiB / 20-way L3. The L1I
+/// replacement policy is not part of it: each run names its own (see
+/// [`SimSession::run`](crate::SimSession::run)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// L1 instruction cache geometry.
@@ -207,8 +205,6 @@ pub struct SimConfig {
     pub stall_exposure: f64,
     /// Instruction prefetcher.
     pub prefetcher: PrefetcherKind,
-    /// L1I replacement policy.
-    pub policy: PolicyKind,
     /// Seed for the random replacement policy.
     pub random_seed: u64,
     /// Fetch target queue depth (blocks of runahead) for FDIP.
@@ -251,7 +247,6 @@ impl Default for SimConfig {
             base_cpi: 0.5,
             stall_exposure: 0.6,
             prefetcher: PrefetcherKind::None,
-            policy: PolicyKind::LRU,
             random_seed: 0x9e37_79b9,
             ftq_depth: 12,
             prefetch_timeliness_blocks: 2,
@@ -264,12 +259,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Convenience: this configuration with a different policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Convenience: this configuration with a different prefetcher.
     pub fn with_prefetcher(mut self, prefetcher: PrefetcherKind) -> Self {
         self.prefetcher = prefetcher;
@@ -343,14 +332,14 @@ impl SimConfig {
 /// # Examples
 ///
 /// ```
-/// use ripple_sim::{PolicyKind, SimConfig, SimConfigError};
+/// use ripple_sim::{PrefetcherKind, SimConfig, SimConfigError};
 ///
 /// let cfg = SimConfig::builder()
-///     .policy(PolicyKind::SRRIP)
+///     .prefetcher(PrefetcherKind::Fdip)
 ///     .warmup_fraction(0.1)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(cfg.policy, PolicyKind::SRRIP);
+/// assert_eq!(cfg.prefetcher, PrefetcherKind::Fdip);
 ///
 /// let err = SimConfig::builder().warmup_fraction(f64::NAN).build();
 /// assert!(matches!(err, Err(SimConfigError::NotFinite { .. })));
@@ -400,12 +389,6 @@ impl SimConfigBuilder {
     /// Sets the instruction prefetcher.
     pub fn prefetcher(mut self, prefetcher: PrefetcherKind) -> Self {
         self.config.prefetcher = prefetcher;
-        self
-    }
-
-    /// Sets the L1I replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.config.policy = policy;
         self
     }
 
@@ -498,13 +481,11 @@ mod tests {
         assert_eq!(cfg, SimConfig::default());
         let cfg = SimConfig::builder()
             .l1i(1024, 2)
-            .policy(PolicyKind::GHRP)
             .prefetcher(PrefetcherKind::Fdip)
             .warmup_fraction(0.0)
             .build()
             .unwrap();
         assert_eq!(cfg.l1i.num_sets(), 8);
-        assert_eq!(cfg.policy, PolicyKind::GHRP);
     }
 
     #[test]
@@ -573,6 +554,7 @@ mod tests {
 
     #[test]
     fn names() {
+        use crate::PolicyKind;
         assert_eq!(PolicyKind::DEMAND_MIN.name(), "demand-min");
         assert_eq!(PrefetcherKind::Fdip.name(), "fdip");
         assert!(PolicyKind::OPT.is_offline_ideal());

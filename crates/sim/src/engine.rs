@@ -37,9 +37,10 @@ use ripple_trace::{BbTrace, TraceHealth};
 
 use crate::cache::Cache;
 use crate::capture::{capture, ColumnarStream, StreamLimitError};
-use crate::config::{PolicyKind, SimConfig};
+use crate::config::SimConfig;
 use crate::generator::{warmup_until, RequestGenerator};
 use crate::intern::{BlockTable, FetchPlan, LineTable};
+use crate::policy::registry::PolicyKind;
 use crate::policy::{build_ideal_policy, build_policy, FutureIndex, LruPolicy, ReplacementPolicy};
 use crate::sink::{EvictionSink, NullSink};
 use crate::stats::SimStats;
@@ -61,11 +62,11 @@ struct Recording {
 /// Once a capture exists every run replays it instead of regenerating the
 /// request stream.
 ///
-/// The per-run policy overrides `config.policy`; everything else in the
-/// config (geometry, prefetcher, eviction mechanism, scripted
-/// invalidations) is fixed for the session's lifetime. The captured stream
-/// is valid for every policy because the request stream only depends on the
-/// trace, the layout and the prefetcher — never on cache contents.
+/// Each run names its policy; the config (geometry, prefetcher, eviction
+/// mechanism, scripted invalidations) is fixed for the session's
+/// lifetime. The captured stream is valid for every policy because the
+/// request stream only depends on the trace, the layout and the
+/// prefetcher — never on cache contents.
 ///
 /// # Examples
 ///
@@ -180,8 +181,7 @@ impl<'a> SimSession<'a> {
         &self.recorder
     }
 
-    /// The session's configuration (its `policy` field is the default for
-    /// [`SimSession::run`] calls and is otherwise inert).
+    /// The session's configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
     }
@@ -243,7 +243,6 @@ impl<'a> SimSession<'a> {
         sink: &mut dyn EvictionSink,
     ) -> Result<SimStats, StreamLimitError> {
         let timer = PhaseTimer::start(&*self.recorder);
-        let cfg = self.config.clone().with_policy(policy);
         // Oracles always capture: their future index is built from it.
         // Every other run uses a capture if one is already in hand, and
         // streams otherwise, also after a failed capture: streaming has no
@@ -253,7 +252,7 @@ impl<'a> SimSession<'a> {
         } else {
             self.recorded.get().and_then(|r| r.as_ref().ok())
         };
-        let mut stats = self.run_walk(&cfg, recording, sink);
+        let mut stats = self.run_walk(policy, recording, sink);
         if let Some(health) = self.trace_health {
             stats.dropped_packets = health.dropped_packets;
             stats.resync_events = health.resync_events;
@@ -380,10 +379,11 @@ impl<'a> SimSession<'a> {
     /// setup thus scales with the program, not with Table II's 10 MB L3.
     fn run_walk(
         &self,
-        cfg: &SimConfig,
+        policy: PolicyKind,
         recording: Option<&Recording>,
         sink: &mut dyn EvictionSink,
     ) -> SimStats {
+        let cfg = &self.config;
         let warmup = warmup_until(self.trace.len(), cfg);
         let mut walk = CacheWalk::new(
             self.layout,
@@ -391,7 +391,7 @@ impl<'a> SimSession<'a> {
             &self.table,
             &self.blocks,
             self.prewarmed_l3(),
-            policy_for(cfg, recording.map(|rec| &rec.future)),
+            policy_for(policy, cfg, recording.map(|rec| &rec.future)),
             warmup,
             sink,
         );
@@ -404,62 +404,19 @@ impl<'a> SimSession<'a> {
     }
 }
 
-/// A fresh L1I policy for one run: an offline ideal reads the capture's
-/// `future`, an online policy is built from the config.
-fn policy_for(cfg: &SimConfig, future: Option<&Arc<FutureIndex>>) -> Box<dyn ReplacementPolicy> {
+/// A fresh L1I `policy` for one run: an offline ideal reads the
+/// capture's `future`, an online policy is built from the config.
+fn policy_for(
+    policy: PolicyKind,
+    cfg: &SimConfig,
+    future: Option<&Arc<FutureIndex>>,
+) -> Box<dyn ReplacementPolicy> {
     match future {
-        Some(future) if cfg.policy.is_offline_ideal() => {
-            build_ideal_policy(cfg.policy, cfg.l1i, future.clone())
+        Some(future) if policy.is_offline_ideal() => {
+            build_ideal_policy(policy, cfg.l1i, future.clone())
         }
-        _ => build_policy(cfg),
+        _ => build_policy(policy, cfg),
     }
-}
-
-/// Simulates `trace` of `program` under `config`, discarding evictions.
-///
-/// One-shot convenience over [`SimSession`]; when running several policies
-/// on the same inputs, build a session instead so oracle replays share the
-/// recording pass.
-///
-/// # Examples
-///
-/// ```
-/// use ripple_program::{Layout, LayoutConfig};
-/// use ripple_sim::{simulate, PolicyKind, SimConfig};
-/// use ripple_workloads::{execute, generate, AppSpec, InputConfig};
-///
-/// let app = generate(&AppSpec::tiny(1));
-/// let layout = Layout::new(&app.program, &LayoutConfig::default());
-/// let trace = execute(&app.program, &app.model, InputConfig::training(1), 20_000);
-///
-/// let lru = simulate(&app.program, &layout, &trace, &SimConfig::default());
-/// let opt = simulate(
-///     &app.program,
-///     &layout,
-///     &trace,
-///     &SimConfig::default().with_policy(PolicyKind::OPT),
-/// );
-/// assert!(opt.demand_misses <= lru.demand_misses);
-/// ```
-pub fn simulate(
-    program: &Program,
-    layout: &Layout,
-    trace: &BbTrace,
-    config: &SimConfig,
-) -> SimStats {
-    simulate_with_sink(program, layout, trace, config, &mut NullSink)
-}
-
-/// Simulates `trace` of `program` under `config`, streaming every L1I
-/// eviction into `sink`.
-pub fn simulate_with_sink(
-    program: &Program,
-    layout: &Layout,
-    trace: &BbTrace,
-    config: &SimConfig,
-    sink: &mut dyn EvictionSink,
-) -> SimStats {
-    SimSession::new(program, layout, trace, config.clone()).run_with_sink(config.policy, sink)
 }
 
 /// Statistics for the paper's *ideal I-cache* (no misses at all): every
@@ -517,7 +474,7 @@ mod tests {
     #[test]
     fn lru_simulation_produces_sane_stats() {
         let (p, l, t) = small_setup();
-        let stats = simulate(&p, &l, &t, &SimConfig::default());
+        let stats = SimSession::new(&p, &l, &t, SimConfig::default()).run(PolicyKind::LRU);
         // Statistics only accumulate after the warmup fraction.
         let warmup = (t.len() as f64 * SimConfig::default().warmup_fraction) as u64;
         assert_eq!(stats.blocks, t.len() as u64 - warmup);
@@ -551,8 +508,8 @@ mod tests {
     #[test]
     fn opt_never_loses_to_lru() {
         let (p, l, t) = small_setup();
-        let lru = simulate(&p, &l, &t, &small_cfg());
-        let opt = simulate(&p, &l, &t, &small_cfg().with_policy(PolicyKind::OPT));
+        let lru = SimSession::new(&p, &l, &t, small_cfg()).run(PolicyKind::LRU);
+        let opt = SimSession::new(&p, &l, &t, small_cfg()).run(PolicyKind::OPT);
         assert!(opt.demand_misses <= lru.demand_misses);
         assert!(lru.demand_misses > 0, "workload must miss");
     }
@@ -560,19 +517,21 @@ mod tests {
     #[test]
     fn prefetching_reduces_misses() {
         let (p, l, t) = small_setup();
-        let none = simulate(&p, &l, &t, &small_cfg());
-        let nlp = simulate(
+        let none = SimSession::new(&p, &l, &t, small_cfg()).run(PolicyKind::LRU);
+        let nlp = SimSession::new(
             &p,
             &l,
             &t,
-            &small_cfg().with_prefetcher(PrefetcherKind::NextLine),
-        );
-        let fdip = simulate(
+            small_cfg().with_prefetcher(PrefetcherKind::NextLine),
+        )
+        .run(PolicyKind::LRU);
+        let fdip = SimSession::new(
             &p,
             &l,
             &t,
-            &small_cfg().with_prefetcher(PrefetcherKind::Fdip),
-        );
+            small_cfg().with_prefetcher(PrefetcherKind::Fdip),
+        )
+        .run(PolicyKind::LRU);
         assert!(nlp.demand_misses < none.demand_misses);
         assert!(fdip.demand_misses < none.demand_misses);
         assert!(nlp.prefetches_issued > 0);
@@ -584,8 +543,8 @@ mod tests {
         let (p, l, t) = small_setup();
         for pf in [PrefetcherKind::NextLine, PrefetcherKind::Fdip] {
             let cfg = small_cfg().with_prefetcher(pf);
-            let lru = simulate(&p, &l, &t, &cfg);
-            let dm = simulate(&p, &l, &t, &cfg.clone().with_policy(PolicyKind::DEMAND_MIN));
+            let lru = SimSession::new(&p, &l, &t, cfg.clone()).run(PolicyKind::LRU);
+            let dm = SimSession::new(&p, &l, &t, cfg.clone()).run(PolicyKind::DEMAND_MIN);
             assert!(
                 dm.demand_misses <= lru.demand_misses,
                 "{}: {} > {}",
@@ -601,7 +560,7 @@ mod tests {
         let (p, l, t) = small_setup();
         let cfg = small_cfg();
         let ideal = simulate_ideal_cache(&p, &t, &cfg);
-        let lru = simulate(&p, &l, &t, &cfg);
+        let lru = SimSession::new(&p, &l, &t, cfg.clone()).run(PolicyKind::LRU);
         assert!(ideal.cycles < lru.cycles);
         assert_eq!(ideal.demand_misses, 0);
         assert_eq!(ideal.instructions, lru.instructions);
@@ -615,7 +574,7 @@ mod tests {
             let mut cfg = small_cfg();
             cfg.warmup_fraction = fraction;
             let ideal = simulate_ideal_cache(&p, &t, &cfg);
-            let lru = simulate(&p, &l, &t, &cfg);
+            let lru = SimSession::new(&p, &l, &t, cfg.clone()).run(PolicyKind::LRU);
             assert_eq!(ideal.blocks, lru.blocks, "warmup fraction {fraction}");
             assert_eq!(ideal.instructions, lru.instructions);
         }
@@ -626,7 +585,7 @@ mod tests {
         let (p, l, t) = small_setup();
         let cfg = small_cfg();
         let mut sink = VecSink::new();
-        let stats = simulate_with_sink(&p, &l, &t, &cfg, &mut sink);
+        let stats = SimSession::new(&p, &l, &t, cfg).run_with_sink(PolicyKind::LRU, &mut sink);
         let log = sink.into_events();
         // The log records warmup evictions too (the analysis wants them);
         // the counter only accumulates post-warmup.
@@ -641,8 +600,8 @@ mod tests {
     fn deterministic_across_runs() {
         let (p, l, t) = small_setup();
         let cfg = small_cfg().with_prefetcher(PrefetcherKind::Fdip);
-        let a = simulate(&p, &l, &t, &cfg);
-        let b = simulate(&p, &l, &t, &cfg);
+        let a = SimSession::new(&p, &l, &t, cfg.clone()).run(PolicyKind::LRU);
+        let b = SimSession::new(&p, &l, &t, cfg.clone()).run(PolicyKind::LRU);
         assert_eq!(a, b);
     }
 
@@ -675,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_one_shot_simulate() {
+    fn a_shared_session_matches_a_fresh_session_per_run() {
         let (p, l, t) = small_setup();
         let cfg = small_cfg().with_prefetcher(PrefetcherKind::Fdip);
         let session = SimSession::new(&p, &l, &t, cfg.clone());
@@ -685,8 +644,8 @@ mod tests {
             PolicyKind::OPT,
             PolicyKind::DEMAND_MIN,
         ] {
-            let one_shot = simulate(&p, &l, &t, &cfg.clone().with_policy(kind));
-            assert_eq!(session.run(kind), one_shot, "{}", kind.name());
+            let fresh = SimSession::new(&p, &l, &t, cfg.clone()).run(kind);
+            assert_eq!(session.run(kind), fresh, "{}", kind.name());
         }
     }
 

@@ -26,10 +26,11 @@
 //! the same walk; both are byte-identical. The independent oracle these
 //! paths are checked against lives in the `ripple-check` crate.
 //!
-//! Entry points: [`simulate`], [`simulate_with_sink`],
-//! [`simulate_ideal_cache`], and — for policy matrices sharing one
-//! capture — [`SimSession`]. Evictions stream into an
-//! [`EvictionSink`] instead of being materialized by the engine.
+//! Entry points: [`SimSession`], whose runs each name their replacement
+//! policy and share one capture ([`SimSession::run`],
+//! [`SimSession::run_with_sink`]), and [`simulate_ideal_cache`].
+//! Evictions stream into an [`EvictionSink`] instead of being
+//! materialized by the engine.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -54,9 +55,7 @@ pub use capture::{StreamLimitError, MAX_STREAM_RECORDS};
 pub use config::{
     CacheGeometry, EvictionMechanism, PrefetcherKind, SimConfig, SimConfigBuilder, SimConfigError,
 };
-pub use engine::{
-    ideal_policy_for, simulate, simulate_ideal_cache, simulate_with_sink, SimSession,
-};
+pub use engine::{ideal_policy_for, simulate_ideal_cache, SimSession};
 pub use intern::{FetchPlan, LineId, LineTable};
 pub use policy::registry::PolicyKind;
 pub use policy::{

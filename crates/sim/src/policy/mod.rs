@@ -108,20 +108,19 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     }
 }
 
-/// Builds the policy named by `config.policy` via its registry
-/// descriptor.
+/// Builds `policy` for `config`'s L1I via its registry descriptor.
 ///
 /// # Panics
 ///
 /// Panics for offline ideals ([`PolicyId::OPT`] / [`PolicyId::DEMAND_MIN`]),
 /// which require a recorded [`FutureIndex`]; use [`build_ideal_policy`]
 /// for those.
-pub fn build_policy(config: &SimConfig) -> Box<dyn ReplacementPolicy> {
-    match config.policy.descriptor().constructor {
+pub fn build_policy(policy: PolicyKind, config: &SimConfig) -> Box<dyn ReplacementPolicy> {
+    match policy.descriptor().constructor {
         PolicyConstructor::Online(build) => build(config),
         PolicyConstructor::Offline(_) => panic!(
             "offline ideal policy {} needs a FutureIndex; use build_ideal_policy",
-            config.policy.name()
+            policy.name()
         ),
     }
 }

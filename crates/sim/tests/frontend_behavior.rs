@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use ripple_program::{Layout, LayoutConfig, LineAddr};
 use ripple_sim::{
-    simulate, simulate_ideal_cache, simulate_with_sink, CacheGeometry, EvictionMechanism,
-    PolicyKind, PrefetcherKind, SimConfig, VecSink,
+    simulate_ideal_cache, CacheGeometry, EvictionMechanism, PolicyKind, PrefetcherKind, SimConfig,
+    SimSession, VecSink,
 };
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
@@ -30,8 +30,8 @@ fn warmup_fraction_gates_statistics() {
     cold.warmup_fraction = 0.0;
     let mut warm = small_cfg();
     warm.warmup_fraction = 0.5;
-    let rc = simulate(&app.program, &layout, &trace, &cold);
-    let rw = simulate(&app.program, &layout, &trace, &warm);
+    let rc = SimSession::new(&app.program, &layout, &trace, cold).run(PolicyKind::LRU);
+    let rw = SimSession::new(&app.program, &layout, &trace, warm).run(PolicyKind::LRU);
     assert!(rw.blocks < rc.blocks);
     assert!(rw.instructions < rc.instructions);
     assert!(rw.demand_misses < rc.demand_misses);
@@ -44,9 +44,9 @@ fn scripted_invalidation_of_ideal_victims_reproduces_opt() {
     // The oracle experiment from DESIGN.md §3a: invalidate every ideal
     // victim right before its eviction trigger and LRU becomes OPT.
     let (app, layout, trace) = setup();
-    let opt_cfg = small_cfg().with_policy(PolicyKind::OPT);
     let mut sink = VecSink::new();
-    let opt = simulate_with_sink(&app.program, &layout, &trace, &opt_cfg, &mut sink);
+    let opt = SimSession::new(&app.program, &layout, &trace, small_cfg())
+        .run_with_sink(PolicyKind::OPT, &mut sink);
     let mut script: Vec<(u64, LineAddr)> = sink
         .events()
         .iter()
@@ -55,7 +55,7 @@ fn scripted_invalidation_of_ideal_victims_reproduces_opt() {
     script.sort_unstable_by_key(|&(p, _)| p);
     let mut lru_cfg = small_cfg();
     lru_cfg.scripted_invalidations = Some(Arc::new(script));
-    let scripted = simulate(&app.program, &layout, &trace, &lru_cfg);
+    let scripted = SimSession::new(&app.program, &layout, &trace, lru_cfg).run(PolicyKind::LRU);
     assert_eq!(
         scripted.demand_misses, opt.demand_misses,
         "scripted LRU must equal OPT"
@@ -70,9 +70,9 @@ fn scripted_invalidate_hits_respect_warmup() {
     let (app, layout, trace) = setup();
     // A script that provably hits: invalidate every OPT victim at its
     // eviction trigger (same construction as the OPT oracle test above).
-    let opt_cfg = small_cfg().with_policy(PolicyKind::OPT);
     let mut sink = VecSink::new();
-    simulate_with_sink(&app.program, &layout, &trace, &opt_cfg, &mut sink);
+    SimSession::new(&app.program, &layout, &trace, small_cfg())
+        .run_with_sink(PolicyKind::OPT, &mut sink);
     let mut script: Vec<(u64, LineAddr)> = sink
         .events()
         .iter()
@@ -87,8 +87,8 @@ fn scripted_invalidate_hits_respect_warmup() {
     let mut warm = small_cfg();
     warm.warmup_fraction = 0.5;
     warm.scripted_invalidations = Some(script.clone());
-    let rc = simulate(&app.program, &layout, &trace, &cold);
-    let rw = simulate(&app.program, &layout, &trace, &warm);
+    let rc = SimSession::new(&app.program, &layout, &trace, cold).run(PolicyKind::LRU);
+    let rw = SimSession::new(&app.program, &layout, &trace, warm).run(PolicyKind::LRU);
 
     // The gate is stats-only, so every script entry hits (or misses)
     // identically in both runs; the warm run must simply not count the
@@ -115,7 +115,7 @@ fn noop_mechanism_leaves_cache_untouched() {
     ] {
         let mut cfg = small_cfg();
         cfg.eviction_mechanism = mech;
-        let r = simulate(&app.program, &layout, &trace, &cfg);
+        let r = SimSession::new(&app.program, &layout, &trace, cfg).run(PolicyKind::LRU);
         assert_eq!(r.invalidate_hits, 0);
         assert_eq!(r.invalidate_instructions, 0);
     }
@@ -125,7 +125,7 @@ fn noop_mechanism_leaves_cache_untouched() {
 fn fdip_tracks_mispredictions_and_prefetches() {
     let (app, layout, trace) = setup();
     let cfg = small_cfg().with_prefetcher(PrefetcherKind::Fdip);
-    let r = simulate(&app.program, &layout, &trace, &cfg);
+    let r = SimSession::new(&app.program, &layout, &trace, cfg).run(PolicyKind::LRU);
     assert!(r.prefetches_issued > 0);
     assert!(r.prefetch_fills > 0);
     assert!(r.mispredictions > 0, "tiny app has noisy branches");
@@ -136,7 +136,7 @@ fn fdip_tracks_mispredictions_and_prefetches() {
 fn nlp_prefetches_next_lines_only() {
     let (app, layout, trace) = setup();
     let cfg = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
-    let r = simulate(&app.program, &layout, &trace, &cfg);
+    let r = SimSession::new(&app.program, &layout, &trace, cfg).run(PolicyKind::LRU);
     assert!(r.prefetches_issued > 0);
     assert_eq!(r.mispredictions, 0, "nlp uses no branch predictor");
 }
@@ -150,8 +150,8 @@ fn timing_reflects_miss_latency() {
     slow.l2_latency *= 4;
     slow.l3_latency *= 4;
     slow.mem_latency *= 4;
-    let rf = simulate(&app.program, &layout, &trace, &fast);
-    let rs = simulate(&app.program, &layout, &trace, &slow);
+    let rf = SimSession::new(&app.program, &layout, &trace, fast).run(PolicyKind::LRU);
+    let rs = SimSession::new(&app.program, &layout, &trace, slow).run(PolicyKind::LRU);
     assert_eq!(rf.demand_misses, rs.demand_misses);
     assert!(rs.cycles > rf.cycles);
 }
@@ -161,7 +161,7 @@ fn stall_exposure_scales_the_penalty() {
     let (app, layout, trace) = setup();
     let mut hidden = small_cfg();
     hidden.stall_exposure = 0.0;
-    let r = simulate(&app.program, &layout, &trace, &hidden);
+    let r = SimSession::new(&app.program, &layout, &trace, hidden.clone()).run(PolicyKind::LRU);
     let ideal = simulate_ideal_cache(&app.program, &trace, &hidden);
     // With no exposed stalls, cycles equal the ideal cache's.
     assert!((r.cycles - ideal.cycles).abs() < 1e-6);
@@ -172,7 +172,7 @@ fn eviction_log_positions_are_within_trace() {
     let (app, layout, trace) = setup();
     let cfg = small_cfg();
     let mut sink = VecSink::new();
-    simulate_with_sink(&app.program, &layout, &trace, &cfg, &mut sink);
+    SimSession::new(&app.program, &layout, &trace, cfg).run_with_sink(PolicyKind::LRU, &mut sink);
     for e in sink.into_events() {
         assert!((e.evict_pos as usize) < trace.len());
         assert!(
@@ -187,18 +187,9 @@ fn demand_min_equals_opt_without_prefetching() {
     // Without prefetch requests in the stream, Demand-MIN degenerates to
     // Belady-OPT exactly.
     let (app, layout, trace) = setup();
-    let opt = simulate(
-        &app.program,
-        &layout,
-        &trace,
-        &small_cfg().with_policy(PolicyKind::OPT),
-    );
-    let dm = simulate(
-        &app.program,
-        &layout,
-        &trace,
-        &small_cfg().with_policy(PolicyKind::DEMAND_MIN),
-    );
+    let opt = SimSession::new(&app.program, &layout, &trace, small_cfg()).run(PolicyKind::OPT);
+    let dm =
+        SimSession::new(&app.program, &layout, &trace, small_cfg()).run(PolicyKind::DEMAND_MIN);
     assert_eq!(opt.demand_misses, dm.demand_misses);
 }
 
@@ -211,8 +202,8 @@ fn late_prefetches_expose_partial_latency() {
     timely.prefetch_timeliness_blocks = 0;
     let mut late = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
     late.prefetch_timeliness_blocks = 32;
-    let rt = simulate(&app.program, &layout, &trace, &timely);
-    let rl = simulate(&app.program, &layout, &trace, &late);
+    let rt = SimSession::new(&app.program, &layout, &trace, timely).run(PolicyKind::LRU);
+    let rl = SimSession::new(&app.program, &layout, &trace, late).run(PolicyKind::LRU);
     assert_eq!(rt.demand_misses, rl.demand_misses);
     assert!(
         rl.cycles > rt.cycles,
@@ -225,13 +216,9 @@ fn late_prefetches_expose_partial_latency() {
 #[test]
 fn tree_plru_tracks_lru_closely() {
     let (app, layout, trace) = setup();
-    let lru = simulate(&app.program, &layout, &trace, &small_cfg());
-    let plru = simulate(
-        &app.program,
-        &layout,
-        &trace,
-        &small_cfg().with_policy(PolicyKind::TREE_PLRU),
-    );
+    let lru = SimSession::new(&app.program, &layout, &trace, small_cfg()).run(PolicyKind::LRU);
+    let plru =
+        SimSession::new(&app.program, &layout, &trace, small_cfg()).run(PolicyKind::TREE_PLRU);
     // 2-way sets: tree-PLRU is exact LRU.
     assert_eq!(lru.demand_misses, plru.demand_misses);
 }

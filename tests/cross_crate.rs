@@ -4,7 +4,7 @@ use ripple_program::{
     rewrite, CodeKind, Injection, InjectionPlan, InstKind, Layout, LayoutConfig, LineMapper,
     Program, ProgramBuilder,
 };
-use ripple_sim::{simulate, PolicyKind, PrefetcherKind, SimConfig};
+use ripple_sim::{PolicyKind, PrefetcherKind, SimConfig, SimSession};
 use ripple_trace::{reconstruct_trace, record_trace};
 use ripple_workloads::{execute, generate, App, AppSpec, InputConfig};
 
@@ -45,8 +45,10 @@ fn rewritten_binaries_execute_identically_modulo_invalidates() {
 
     // Same trace replays on both binaries; instruction counts differ by
     // exactly the executed invalidates.
-    let base = simulate(&app.program, &layout, &trace, &SimConfig::default());
-    let ripple = simulate(&rw.program, &rw.layout, &trace, &SimConfig::default());
+    let base =
+        SimSession::new(&app.program, &layout, &trace, SimConfig::default()).run(PolicyKind::LRU);
+    let ripple =
+        SimSession::new(&rw.program, &rw.layout, &trace, SimConfig::default()).run(PolicyKind::LRU);
     assert_eq!(base.instructions, ripple.instructions);
     assert!(ripple.invalidate_instructions > 0);
     assert_eq!(base.blocks, ripple.blocks);
@@ -78,18 +80,13 @@ fn offline_ideals_lower_bound_online_policies_on_real_apps() {
         PrefetcherKind::Fdip,
     ] {
         let cfg = SimConfig::default().with_prefetcher(pf);
-        let lru = simulate(&app.program, &layout, &trace, &cfg);
+        let lru = SimSession::new(&app.program, &layout, &trace, cfg.clone()).run(PolicyKind::LRU);
         let ideal_kind = if pf == PrefetcherKind::None {
             PolicyKind::OPT
         } else {
             PolicyKind::DEMAND_MIN
         };
-        let ideal = simulate(
-            &app.program,
-            &layout,
-            &trace,
-            &cfg.clone().with_policy(ideal_kind),
-        );
+        let ideal = SimSession::new(&app.program, &layout, &trace, cfg).run(ideal_kind);
         assert!(
             ideal.demand_misses <= lru.demand_misses,
             "{}: ideal {} > lru {}",

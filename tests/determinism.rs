@@ -8,9 +8,7 @@ use std::sync::Arc;
 use ripple::{collect_profile, policy_matrix, Ripple, RippleConfig};
 use ripple_obs::{MetricsRecorder, NullRecorder, Recorder};
 use ripple_program::{Layout, LayoutConfig};
-use ripple_sim::{
-    ideal_policy_for, simulate, PolicyKind, PrefetcherKind, SimConfig, SimSession, VecSink,
-};
+use ripple_sim::{ideal_policy_for, PolicyKind, PrefetcherKind, SimConfig, SimSession, VecSink};
 use ripple_workloads::{generate, App, AppSpec, InputConfig};
 
 #[test]
@@ -20,7 +18,8 @@ fn generation_execution_and_simulation_are_deterministic() {
         let layout = Layout::new(&app.program, &LayoutConfig::default());
         let profile = collect_profile(&app, &layout, InputConfig::training(77), 50_000).unwrap();
         let cfg = SimConfig::default().with_prefetcher(PrefetcherKind::Fdip);
-        let stats = simulate(&app.program, &layout, &profile.trace, &cfg);
+        let stats =
+            SimSession::new(&app.program, &layout, &profile.trace, cfg).run(PolicyKind::LRU);
         (profile.trace.len(), stats)
     };
     let (len_a, stats_a) = run();
